@@ -48,7 +48,8 @@ int main() {
   sim::ZipfDistribution zipf(100'000'000, 0.99);
   core::TrafficGroups groups(topo, core::GroupGranularity::kRack);
 
-  auto directory = std::make_shared<core::RsNodeDirectory>();
+  auto directory = std::make_shared<core::RsNodeDirectory>(
+      topo.switch_count() + 1, net::kInvalidNode);
   for (net::NodeId sw = 0; sw < topo.switch_count(); ++sw) {
     (*directory)[static_cast<core::RsNodeId>(sw + 1)] = sw;
   }

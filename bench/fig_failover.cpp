@@ -152,7 +152,8 @@ bool write_bench_section(const std::string& path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_9.json";
+  // Untracked by default, like bench/macro's; splices into its record.
+  std::string out_path = "BENCH_local.json";
   std::string csv_path = "failover_timeline.csv";
   if (argc > 1) out_path = argv[1];
   if (argc > 2) csv_path = argv[2];

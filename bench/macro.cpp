@@ -109,7 +109,8 @@ std::string queue_strategy_name() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_7.json";
+  // Untracked by default; a trajectory record is named explicitly.
+  std::string out_path = "BENCH_local.json";
   if (argc > 1) out_path = argv[1];
 
   std::uint64_t requests = kRequestsPerCell;

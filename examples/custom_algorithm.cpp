@@ -96,7 +96,8 @@ sim::LatencyRecorder run_with(core::SelectorFactory make_one_selector,
   sim::ZipfDistribution zipf(1'000'000, 0.99);
   core::TrafficGroups groups(topo, core::GroupGranularity::kRack);
 
-  auto directory = std::make_shared<core::RsNodeDirectory>();
+  auto directory = std::make_shared<core::RsNodeDirectory>(
+      topo.switch_count() + 1, net::kInvalidNode);
   for (net::NodeId sw = 0; sw < topo.switch_count(); ++sw) {
     (*directory)[static_cast<core::RsNodeId>(sw + 1)] = sw;
   }

@@ -46,6 +46,7 @@ struct RunOutput {
   std::string plan_method;
   int plans_deployed = 0;
   std::size_t drs_groups = 0;
+  std::size_t max_pending_capacity = 0;
   sim::AuditSummary audit;
   // Fault-phase accumulators (empty in zero-fault runs).
   sim::LatencyRecorder phase_lat[3];
@@ -346,7 +347,8 @@ RunOutput run_once(Scheme scheme, const ExperimentConfig& cfg,
       static_cast<double>(std::max(1, cfg.client_multiplicity));
 
   if (is_netrs(scheme)) {
-    auto directory = std::make_shared<core::RsNodeDirectory>();
+    auto directory = std::make_shared<core::RsNodeDirectory>(
+        topo.switch_count() + 1, net::kInvalidNode);
     for (net::NodeId sw = 0; sw < topo.switch_count(); ++sw) {
       (*directory)[static_cast<core::RsNodeId>(sw + 1)] = sw;
     }
@@ -835,6 +837,10 @@ RunOutput run_once(Scheme scheme, const ExperimentConfig& cfg,
     out.plan_method = controller->current_plan().method;
     out.plans_deployed = static_cast<int>(controller->plans_deployed());
     out.drs_groups = controller->current_plan().drs_groups.size();
+    for (const auto& op : operators) {
+      out.max_pending_capacity = std::max(
+          out.max_pending_capacity, op->selector_node().pending_capacity());
+    }
   } else {
     out.rsnodes = cfg.num_clients;
     out.plan_method = "client";
@@ -933,6 +939,8 @@ ExperimentResult run_experiment(Scheme scheme, const ExperimentConfig& cfg) {
     res.plan_method = out.plan_method;
     res.plans_deployed = out.plans_deployed;
     res.drs_groups = out.drs_groups;
+    res.max_pending_capacity =
+        std::max(res.max_pending_capacity, out.max_pending_capacity);
     res.audit.merge(out.audit);
     res.metrics.merge(out.metrics);
     res.trace_events += out.trace.events.size();

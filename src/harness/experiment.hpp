@@ -73,6 +73,10 @@ struct ExperimentResult {
   std::string plan_method;  ///< placement method of the final plan
   int plans_deployed = 0;
   std::size_t drs_groups = 0;  ///< groups on Degraded Replica Selection
+  /// Largest SelectorNode::pending_capacity() over every RSNode at the end
+  /// of each repeat, max over repeats (NetRS schemes; 0 otherwise).
+  /// Diagnostic only; not part of digests.
+  std::size_t max_pending_capacity = 0;
 
   /// Simulator events fired, summed over repeats (throughput accounting
   /// for the macro benchmark's events/sec metric; not part of digests).

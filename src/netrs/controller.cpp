@@ -1,6 +1,7 @@
 #include "netrs/controller.hpp"
 
 #include <cassert>
+#include <unordered_map>
 #include <utility>
 
 namespace netrs::core {
@@ -16,6 +17,7 @@ Controller::Controller(sim::Simulator& sim, const net::FatTree& topo,
       cfg_(cfg) {
   for (NetRSOperator* op : operators_) {
     assert(op != nullptr);
+    if (op->id() >= by_id_.size()) by_id_.resize(std::size_t{op->id()} + 1);
     by_id_[op->id()] = op;
   }
 }
@@ -156,8 +158,9 @@ void Controller::install(const PlacementResult& plan) {
   }
   for (RsNodeId id : next_active) {
     if (!active_.contains(id)) {
-      auto it = by_id_.find(id);
-      if (it != by_id_.end()) it->second->reset_selector();
+      if (id < by_id_.size() && by_id_[id] != nullptr) {
+        by_id_[id]->reset_selector();
+      }
     }
   }
   active_ = std::move(next_active);

@@ -10,7 +10,6 @@
 #include <map>
 #include <memory>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "netrs/operator.hpp"
@@ -100,7 +99,8 @@ class NETRS_COORD_GLOBAL Controller {
   std::vector<NetRSOperator*> operators_;
   ControllerConfig cfg_;
 
-  std::unordered_map<RsNodeId, NetRSOperator*> by_id_;
+  // Operators indexed by RSNode id; nullptr for ids no operator holds.
+  std::vector<NetRSOperator*> by_id_;
   std::set<RsNodeId> failed_;
   std::set<RsNodeId> active_;  // RSNodes used by the current plan
 

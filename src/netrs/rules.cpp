@@ -73,15 +73,15 @@ net::Switch::Disposition NetRSRules::handle_request(net::Packet& pkt,
     sw.fabric().send(sw.id(), accel_, std::move(pkt));
     return net::Switch::Consumed{};
   }
-  const auto loc = directory_->find(*rid);
-  if (loc == directory_->end()) {
+  const net::NodeId loc = rsnode_switch(*directory_, *rid);
+  if (loc == net::kInvalidNode) {
     // Unknown RSNode (e.g. a request raced an RSP retirement): degrade.
     set_magic(pkt.payload, magic_f(kMagicMonitor));
     ++drs_;
     return net::Switch::Continue{};
   }
   ++steered_;
-  return net::Switch::Steer{loc->second};
+  return net::Switch::Steer{loc};
 }
 
 net::Switch::Disposition NetRSRules::handle_response(net::Packet& pkt,
@@ -104,15 +104,15 @@ net::Switch::Disposition NetRSRules::handle_response(net::Packet& pkt,
     set_magic(pkt.payload, kMagicMonitor);
     return net::Switch::Continue{};
   }
-  const auto loc = directory_->find(*rid);
-  if (loc == directory_->end()) {
+  const net::NodeId loc = rsnode_switch(*directory_, *rid);
+  if (loc == net::kInvalidNode) {
     // The RSNode vanished (operator failure): deliver without selector
     // feedback; the monitor can still count it.
     set_magic(pkt.payload, kMagicMonitor);
     return net::Switch::Continue{};
   }
   ++steered_;
-  return net::Switch::Steer{loc->second};
+  return net::Switch::Steer{loc};
 }
 
 }  // namespace netrs::core

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "net/switch.hpp"
@@ -29,9 +28,16 @@
 
 namespace netrs::core {
 
-/// Where each RSNode id lives (operator id -> switch NodeId). Static for a
-/// deployment: ids are assigned once by the controller.
-using RsNodeDirectory = std::unordered_map<RsNodeId, net::NodeId>;
+/// Where each RSNode id lives: switch NodeId indexed by operator id,
+/// net::kInvalidNode for ids no operator holds. Static for a deployment:
+/// ids are assigned once by the controller.
+using RsNodeDirectory = std::vector<net::NodeId>;
+
+/// The switch hosting RSNode `id`, or net::kInvalidNode when none does.
+[[nodiscard]] inline net::NodeId rsnode_switch(const RsNodeDirectory& dir,
+                                               RsNodeId id) {
+  return id < dir.size() ? dir[id] : net::kInvalidNode;
+}
 
 /// The ToR's traffic-group -> RSNode table (one RSP slice). kRidIllegal
 /// entries enable DRS for that group.

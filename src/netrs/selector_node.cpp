@@ -12,7 +12,7 @@ SelectorNode::SelectorNode(sim::Simulator& sim, const ReplicaDatabase& db,
     : sim_(sim),
       db_(db),
       selector_(std::move(selector)),
-      pending_(65536) {
+      pending_(kInitialPendingSlots) {
   assert(selector_ != nullptr);
 }
 
@@ -21,17 +21,35 @@ void SelectorNode::reset_selector(
   assert(selector != nullptr);
   selector_ = std::move(selector);
   selector_->set_decision_hook(hook_);
-  pending_.assign(pending_.size(), PendingSlot{});
+  clear_pending();
 }
 
 void SelectorNode::fail() {
   // netrs-lint: allow(unordered-iteration): pending_ here is the
-  // std::vector<PendingSlot> ring above; the name collides with
-  // kv::Client's unordered map in the linter's cross-TU symbol table.
-  for (PendingSlot& slot : pending_) {
+  // std::vector<PendingSlot> table; the name collides with kv::Client's
+  // unordered map in the linter's cross-TU symbol table.
+  for (const PendingSlot& slot : pending_) {
     if (slot.valid) ++pending_dropped_;
   }
-  pending_.assign(pending_.size(), PendingSlot{});
+  clear_pending();
+}
+
+void SelectorNode::clear_pending() {
+  // A fresh vector, not assign(): a table grown under faults gives its
+  // memory back.
+  pending_ = std::vector<PendingSlot>(kInitialPendingSlots);
+}
+
+void SelectorNode::grow_pending() {
+  assert(pending_.size() < kMaxPendingSlots);
+  std::vector<PendingSlot> next(pending_.size() * 2);
+  const std::size_t mask = next.size() - 1;
+  // netrs-lint: allow(unordered-iteration): as in fail().
+  for (const PendingSlot& slot : pending_) {
+    // Valid slots have distinct rv & (mask / 2), hence distinct rv & mask.
+    if (slot.valid) next[slot.rv & mask] = slot;
+  }
+  pending_ = std::move(next);
 }
 
 std::optional<net::Packet> SelectorNode::process(net::Packet pkt) {
@@ -63,7 +81,10 @@ std::optional<net::Packet> SelectorNode::handle_request(net::Packet pkt) {
   ++requests_selected_;
 
   const std::uint16_t rv = next_rv_++;
-  pending_[rv] = PendingSlot{server, sim_.now(), true};
+  // Grow rather than evict a live entry with another tag; at
+  // kMaxPendingSlots the index is the whole tag and this never loops.
+  while (slot_for(rv).valid && slot_for(rv).rv != rv) grow_pending();
+  slot_for(rv) = PendingSlot{sim_.now(), server, rv, true};
   if (obs::Observer* o = sim_.observer()) {
     o->instant("rs.select", "rs", trace_tid_, sim_.now(),
                pkt.meta.request_id, "server",
@@ -88,8 +109,8 @@ void SelectorNode::handle_response(const net::Packet& pkt) {
   fb.queue_size = resp->status.queue_size;
   fb.service_time = static_cast<sim::Duration>(resp->status.service_time_ns);
 
-  PendingSlot& slot = pending_[resp->rv];
-  if (slot.valid && slot.server == pkt.src) {
+  PendingSlot& slot = slot_for(resp->rv);
+  if (slot.valid && slot.rv == resp->rv && slot.server == pkt.src) {
     fb.response_time = sim_.now() - slot.sent_at;
     slot.valid = false;
   } else {

@@ -7,8 +7,17 @@
 // hands it back to the switch. For a cloned NetRS response it updates the
 // selector's local information — measuring the response time by matching
 // the echoed RV against its pending table — and absorbs the clone.
+//
+// The pending table is sized to the requests in flight, not to the 16-bit
+// RV space: a power-of-two table indexed by `rv & mask` whose slots carry
+// their full RV tag. It starts at kInitialPendingSlots and doubles (up to
+// 65536 slots, where `rv & mask == rv`) only when a send would overwrite a
+// valid slot holding a different tag. No live entry is ever evicted by
+// another tag, so every response gets exactly the verdict and response
+// time the RV-indexed 65536-slot table would give it (DESIGN.md §4.7).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -55,6 +64,17 @@ class NETRS_SHARD_LOCAL SelectorNode {
   [[nodiscard]] std::uint64_t pending_dropped() const {
     return pending_dropped_;
   }
+  /// Slots in the pending-RV table (diagnostic): kInitialPendingSlots after
+  /// construction, reset_selector() and fail(); grows by doubling with the
+  /// requests in flight, never past kMaxPendingSlots.
+  [[nodiscard]] std::size_t pending_capacity() const {
+    return pending_.size();
+  }
+
+  /// Initial (and post-reset) pending-table capacity, in slots.
+  static constexpr std::size_t kInitialPendingSlots = 64;
+  /// Largest pending-table capacity: one slot per value of the 16-bit RV.
+  static constexpr std::size_t kMaxPendingSlots = 65536;
 
   /// The current selection algorithm (diagnostic/report access).
   [[nodiscard]] const rs::ReplicaSelector& selector() const {
@@ -88,19 +108,29 @@ class NETRS_SHARD_LOCAL SelectorNode {
 
  private:
   struct PendingSlot {
-    net::HostId server = net::kInvalidHost;
     sim::Time sent_at = 0;
+    net::HostId server = net::kInvalidHost;
+    std::uint16_t rv = 0;  // full tag: the slot index keeps only rv & mask
     bool valid = false;
   };
+  static_assert(sizeof(PendingSlot) == 16);
 
   std::optional<net::Packet> handle_request(net::Packet pkt);
   void handle_response(const net::Packet& pkt);
+  /// The slot `rv` maps to (it holds `rv` only if its tag says so).
+  PendingSlot& slot_for(std::uint16_t rv) {
+    return pending_[rv & (pending_.size() - 1)];
+  }
+  /// Doubles the pending table, re-placing its valid slots.
+  void grow_pending();
+  /// Empties the pending table back to kInitialPendingSlots.
+  void clear_pending();
 
   sim::Simulator& sim_;
   const ReplicaDatabase& db_;
   std::unique_ptr<rs::ReplicaSelector> selector_;
   rs::DecisionHook hook_;  // reapplied on reset_selector()
-  // RV-indexed pending table (the RV field is 16 bits wide).
+  // Pending table indexed by rv & (size - 1); size is a power of two.
   std::vector<PendingSlot> pending_;
   std::uint16_t next_rv_ = 1;
   std::uint64_t requests_selected_ = 0;

@@ -36,7 +36,8 @@ class ControllerRig : public ::testing::Test {
     ring = std::make_unique<kv::ConsistentHashRing>(server_hosts, 3, 8);
     zipf = std::make_unique<sim::ZipfDistribution>(10000, 0.99);
 
-    auto directory = std::make_shared<RsNodeDirectory>();
+    auto directory = std::make_shared<RsNodeDirectory>(
+        topo.switch_count() + 1, net::kInvalidNode);
     for (net::NodeId sw = 0; sw < topo.switch_count(); ++sw) {
       (*directory)[static_cast<RsNodeId>(sw + 1)] = sw;
     }

@@ -48,7 +48,8 @@ class PipelineRig : public ::testing::Test {
                     topo.host_id(2, 0, 0)};  // tier-0
     ring = std::make_unique<kv::ConsistentHashRing>(server_hosts, 3, 8);
 
-    directory = std::make_shared<RsNodeDirectory>();
+    directory = std::make_shared<RsNodeDirectory>(topo.switch_count() + 1,
+                                                  net::kInvalidNode);
     for (net::NodeId sw = 0; sw < topo.switch_count(); ++sw) {
       (*directory)[rid_of(sw)] = sw;
     }

@@ -23,7 +23,7 @@ class RulesRig : public ::testing::Test {
       switches.push_back(std::make_unique<net::Switch>(fabric, sw));
       fabric.attach(sw, switches.back().get());
     }
-    directory = std::make_shared<RsNodeDirectory>();
+    directory = std::make_shared<RsNodeDirectory>(4, net::kInvalidNode);
     (*directory)[1] = topo.tor_node(0, 0);
     (*directory)[2] = topo.agg_node(0, 1);
     (*directory)[3] = topo.core_node(0, 0);
