@@ -12,8 +12,9 @@
 // emits:
 //   - the per-phase (pre/during/post-fault) latency, regret, and
 //     staleness windows on stdout (print_fault_phases),
-//   - a latency timeline CSV (100 ms buckets) for plot_results.py's
-//     latency-through-failure panel,
+//   - a latency timeline CSV (100 ms buckets; the untracked
+//     failover_timeline_local.csv unless argv[2] names one) for
+//     plot_results.py's latency-through-failure panel,
 //   - a separately fingerprinted "failover" section spliced into the
 //     BENCH_<n>.json perf record (bench/macro writes the base record;
 //     tools/bench_gate.py gates each scheme's requests_per_sec).
@@ -154,7 +155,7 @@ bool write_bench_section(const std::string& path,
 int main(int argc, char** argv) {
   // Untracked by default, like bench/macro's; splices into its record.
   std::string out_path = "BENCH_local.json";
-  std::string csv_path = "failover_timeline.csv";
+  std::string csv_path = "failover_timeline_local.csv";
   if (argc > 1) out_path = argv[1];
   if (argc > 2) csv_path = argv[2];
 

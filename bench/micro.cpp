@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -67,29 +68,61 @@ void BM_SwitchFieldRewrite(benchmark::State& state) {
 BENCHMARK(BM_SwitchFieldRewrite);
 
 void BM_EventQueueChurn(benchmark::State& state) {
-  // Arg 0: steady-state queue depth. Arg 1: queue strategy (the tracked
-  // perf criterion: the calendar queue must beat the heap at depth 100k).
-  const auto strategy = static_cast<sim::QueueStrategy>(state.range(1));
-  sim::EventQueue q(strategy);
+  // Arg: steady-state queue depth. Every push draws one of 1000 random
+  // delays: mostly heap work, plus the delay lanes' worst case, since
+  // such delays recur often enough to claim lanes that each hold little.
+  sim::EventQueue q;
   sim::Rng rng(1);
   sim::Time t = 0;
   // Steady-state: keep N events queued, push one / pop one.
   const int depth = static_cast<int>(state.range(0));
   for (int i = 0; i < depth; ++i) {
-    q.push(t + static_cast<sim::Time>(rng.uniform(1000)), [] {});
+    q.push(t + static_cast<sim::Time>(rng.uniform(1000)), [] {}, t);
   }
   for (auto _ : state) {
     auto [when, cb] = q.pop();
     t = when;
-    q.push(t + static_cast<sim::Time>(rng.uniform(1000)), std::move(cb));
+    q.push(t + static_cast<sim::Time>(rng.uniform(1000)), std::move(cb), t);
   }
 }
-BENCHMARK(BM_EventQueueChurn)
-    ->ArgNames({"depth", "calendar"})
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({100000, 0})
-    ->Args({100000, 1});
+BENCHMARK(BM_EventQueueChurn)->ArgName("depth")->Arg(1000)->Arg(100000);
+
+void BM_EventQueueChurnFixedDelays(benchmark::State& state) {
+  // Shaped like the simulator's workloads: about 87% of pushes at a few
+  // fixed delays (the paper's 30 us links, 2.5 us accelerator RTT halves,
+  // accelerator service times), over ~135 random-delay events. Each
+  // popped event schedules one of its own kind, so both populations hold
+  // steady; `fixed_share` reports the measured mix.
+  constexpr sim::Duration kFixed[] = {30'000, 30'000, 5'000, 1'250, 1'000};
+  constexpr int kFixedEvents = 27;
+  constexpr int kRandomEvents = 135;
+  constexpr std::uint64_t kRandomSpan = 900'000;  // mean 450 us
+  sim::EventQueue q;
+  sim::Rng rng(1);
+  bool fixed_kind = false;  // set by the firing callback
+  auto schedule = [&](sim::Time now, bool fixed) {
+    const sim::Time t =
+        now + (fixed ? kFixed[rng.uniform(std::size(kFixed))]
+                     : static_cast<sim::Time>(rng.uniform(kRandomSpan)));
+    q.push(t, [&fixed_kind, fixed] { fixed_kind = fixed; }, now);
+  };
+  for (int i = 0; i < kRandomEvents; ++i) schedule(0, false);
+  for (int i = 0; i < kFixedEvents; ++i) schedule(0, true);
+  std::uint64_t pushes = 0;
+  std::uint64_t fixed_pushes = 0;
+  for (auto _ : state) {
+    auto [now, cb] = q.pop();
+    cb();
+    schedule(now, fixed_kind);
+    ++pushes;
+    fixed_pushes += fixed_kind ? 1 : 0;
+  }
+  state.counters["fixed_share"] = benchmark::Counter(
+      pushes == 0 ? 0.0
+                  : static_cast<double>(fixed_pushes) /
+                        static_cast<double>(pushes));
+}
+BENCHMARK(BM_EventQueueChurnFixedDelays);
 
 void BM_PercentileBatch(benchmark::State& state) {
   // The report pattern: p50/p95/p99/p999 back-to-back. Finalizing first

@@ -1,53 +1,10 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
+#include <string>
 
 namespace netrs::sim {
-namespace {
-
-// Calendar sizing: buckets double once live events exceed 2x the bucket
-// count and halve below 1/8th (hysteresis so steady-state churn never
-// resizes); the cap bounds the bucket directory to a few MB — beyond it
-// buckets simply hold more entries each, which the sorted-append fast
-// path tolerates.
-constexpr std::size_t kMinBuckets = 16;
-constexpr std::size_t kMaxBuckets = std::size_t{1} << 18;
-
-std::atomic<int> g_default_strategy{-1};
-
-int strategy_from_env() {
-  const char* e = std::getenv("NETRS_EVENT_QUEUE");
-  if (e != nullptr) {
-    if (std::strcmp(e, "heap") == 0 || std::strcmp(e, "binary-heap") == 0) {
-      return static_cast<int>(QueueStrategy::kBinaryHeap);
-    }
-    if (std::strcmp(e, "calendar") == 0) {
-      return static_cast<int>(QueueStrategy::kCalendar);
-    }
-  }
-  return static_cast<int>(QueueStrategy::kCalendar);
-}
-
-}  // namespace
-
-QueueStrategy EventQueue::default_strategy() {
-  int s = g_default_strategy.load(std::memory_order_relaxed);
-  if (s < 0) {
-    s = strategy_from_env();
-    g_default_strategy.store(s, std::memory_order_relaxed);
-  }
-  return static_cast<QueueStrategy>(s);
-}
-
-void EventQueue::set_default_strategy(QueueStrategy s) {
-  g_default_strategy.store(static_cast<int>(s), std::memory_order_relaxed);
-}
-
-EventQueue::EventQueue(QueueStrategy strategy) : strategy_(strategy) {}
 
 std::uint32_t EventQueue::acquire_slot() {
   if (free_head_ != kNilSlot) {
@@ -96,27 +53,66 @@ void EventQueue::check_live_slot(const Entry& e, const Slot& s) {
   (void)s;
 }
 
-EventId EventQueue::push(Time t, Callback cb) {
-  const std::uint32_t index = acquire_slot();
-  Slot& s = slots_[index];
-  s.task = std::move(cb);
-  s.state = SlotState::kLive;
-  const Entry entry{t, next_seq_++, index};
-  if (strategy_ == QueueStrategy::kCalendar) {
-    if (buckets_.empty()) cal_init();
-    cal_insert(entry);
-    ++live_;
-    if (live_ > buckets_.size() * 2 && buckets_.size() < kMaxBuckets) {
-      cal_rebuild(buckets_.size() * 2);
-    } else if (cal_stored_ > 2 * live_ + 64) {
-      // Tombstones the cursor never sweeps (cancelled entries in windows
-      // the scan jumped over) would otherwise pin arena slots forever.
-      cal_rebuild(buckets_.size());
+void EventQueue::Lane::push_back(const Entry& e) {
+  if (count == ring.size()) {
+    std::vector<Entry> bigger(ring.empty() ? 16 : 2 * ring.size());
+    for (std::size_t i = 0; i < count; ++i) {
+      bigger[i] = ring[(head + i) & (ring.size() - 1)];
     }
+    ring = std::move(bigger);
+    head = 0;
+  }
+  ring[(head + count) & (ring.size() - 1)] = e;
+  ++count;
+}
+
+EventQueue::Lane* EventQueue::lane_for(Duration delay, Time t) {
+  for (std::size_t i = 0; i < lanes_used_; ++i) {
+    Lane& lane = lanes_[i];
+    if (lane.delay == delay) {
+      // The order guard: appending below the tail would unsort the lane.
+      return lane.count == 0 || lane.back().time <= t ? &lane : nullptr;
+    }
+  }
+  // A delay without a lane earns one by missing twice in a short window;
+  // one-off (random) delays stay in the heap.
+  if (std::find(recent_misses_.begin(), recent_misses_.end(), delay) ==
+      recent_misses_.end()) {
+    recent_misses_[next_miss_] = delay;
+    next_miss_ = (next_miss_ + 1) % kRecentMisses;
+    return nullptr;
+  }
+  Lane* pick = nullptr;
+  if (lanes_used_ < kMaxLanes) {
+    pick = &lanes_[lanes_used_++];
   } else {
-    heap_.push_back(entry);
+    const auto empty = std::find_if(lanes_.begin(), lanes_.end(),
+                                    [](const Lane& l) { return l.count == 0; });
+    if (empty != lanes_.end()) pick = &*empty;
+  }
+  if (pick != nullptr) pick->delay = delay;
+  return pick;
+}
+
+EventId EventQueue::enqueue(Time t, Duration delay, std::uint32_t index) {
+  Slot& s = slots_[index];
+  s.state = SlotState::kLive;
+  const Entry e{t, next_seq_++, index};
+  Lane* lane = lane_for(delay, t);
+  if (lane != nullptr) {
+    lane->push_back(e);
+  } else {
+    heap_.push_back(e);
     std::push_heap(heap_.begin(), heap_.end(), Later{});
-    ++live_;
+  }
+  ++live_;
+  // A new entry can only become the minimum by preceding the cached one,
+  // and then it is the head of its lane (the lane was empty) or the heap
+  // top.
+  if (min_src_ != kUnknown && entry_less(e, min_)) {
+    min_ = e;
+    min_src_ = lane != nullptr ? static_cast<int>(lane - lanes_.data())
+                               : kFromHeap;
   }
   return (static_cast<EventId>(s.generation) << 32) | index;
 }
@@ -130,208 +126,61 @@ bool EventQueue::cancel(EventId id) {
     return false;
   }
   // Release the callback (and whatever it captured) now; the index entry
-  // becomes a tombstone discarded lazily when it reaches the front.
+  // becomes a tombstone discarded lazily when it reaches a head.
   s.task.reset();
   s.state = SlotState::kCancelled;
   assert(live_ > 0);
   --live_;
+  if (min_src_ != kUnknown && min_.slot == index) min_src_ = kUnknown;
   return true;
 }
 
-void EventQueue::heap_drop_cancelled() {
-  while (!heap_.empty() &&
-         slots_[heap_.front().slot].state == SlotState::kCancelled) {
-    const std::uint32_t index = heap_.front().slot;
+void EventQueue::find_min() {
+  assert(live_ > 0);
+  for (;;) {
+    min_src_ = kUnknown;
+    if (!heap_.empty()) {
+      min_ = heap_.front();
+      min_src_ = kFromHeap;
+    }
+    for (std::size_t i = 0; i < lanes_used_; ++i) {
+      const Lane& lane = lanes_[i];
+      if (lane.count > 0 &&
+          (min_src_ == kUnknown || entry_less(lane.front(), min_))) {
+        min_ = lane.front();
+        min_src_ = static_cast<int>(i);
+      }
+    }
+    assert(min_src_ != kUnknown);
+    // Only the winner's slot is read: a tombstone is dropped when it
+    // would surface, and the search runs again.
+    if (!cancelled(min_)) return;
+    remove_min();
+    release_slot(min_.slot);
+  }
+}
+
+void EventQueue::remove_min() {
+  if (min_src_ == kFromHeap) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
-    release_slot(index);
-  }
-}
-
-Time EventQueue::floor_div(Time t, Time w) {
-  // Bucket windows must stay width-aligned for negative times too (the
-  // queue API does not forbid them even though the simulator never
-  // schedules below zero).
-  return t >= 0 ? t / w : -((-t + w - 1) / w);
-}
-
-std::size_t EventQueue::bucket_of(Time t) const {
-  return static_cast<std::size_t>(floor_div(t, width_)) & bucket_mask_;
-}
-
-void EventQueue::cal_init() {
-  buckets_.resize(kMinBuckets);
-  bucket_mask_ = kMinBuckets - 1;
-  width_ = 1;
-  cursor_ = 0;
-  cursor_upper_ = width_;
-  cal_stored_ = 0;
-}
-
-void EventQueue::cal_insert(const Entry& e) {
-  Bucket& b = buckets_[bucket_of(e.time)];
-  if (b.entries.empty() || entry_less(b.entries.back(), e)) {
-    // Fast path: seqs are monotonic, so same-instant bursts and any
-    // time-ascending insertion stream append in O(1).
-    b.entries.push_back(e);
   } else {
-    const auto it =
-        std::upper_bound(b.entries.begin() + static_cast<std::ptrdiff_t>(b.head),
-                         b.entries.end(), e, entry_less);
-    b.entries.insert(it, e);
+    lanes_[static_cast<std::size_t>(min_src_)].pop_front();
   }
-  ++cal_stored_;
-  if (live_ == 0 || e.time < cursor_upper_ - width_) {
-    // The new entry precedes the scan position: reposition the year scan
-    // on its window so pop order stays exact.
-    cursor_ = bucket_of(e.time);
-    cursor_upper_ = floor_div(e.time, width_) * width_ + width_;
-  }
-}
-
-EventQueue::Entry* EventQueue::cal_find_min() {
-  assert(live_ > 0);
-  std::size_t scanned = 0;
-  while (true) {
-    Bucket& b = buckets_[cursor_];
-    while (b.head < b.entries.size() &&
-           slots_[b.entries[b.head].slot].state == SlotState::kCancelled) {
-      release_slot(b.entries[b.head].slot);
-      ++b.head;
-      --cal_stored_;
-    }
-    if (b.head >= b.entries.size()) {
-      b.entries.clear();
-      b.head = 0;
-    } else if (b.entries[b.head].time < cursor_upper_) {
-      // Buckets are sorted and no live entry precedes the current window
-      // (push repositions the cursor), so this head is the global minimum.
-      return &b.entries[b.head];
-    }
-    cursor_ = (cursor_ + 1) & bucket_mask_;
-    cursor_upper_ += width_;
-    if (++scanned > buckets_.size()) {
-      // A full year scanned with nothing eligible: the next event is more
-      // than nbuckets * width away. Find it directly and jump there.
-      cal_direct_seek();
-      scanned = 0;
-    }
-  }
-}
-
-void EventQueue::cal_direct_seek() {
-  const Entry* best = nullptr;
-  std::size_t best_bucket = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    Bucket& b = buckets_[i];
-    while (b.head < b.entries.size() &&
-           slots_[b.entries[b.head].slot].state == SlotState::kCancelled) {
-      release_slot(b.entries[b.head].slot);
-      ++b.head;
-      --cal_stored_;
-    }
-    if (b.head >= b.entries.size()) {
-      b.entries.clear();
-      b.head = 0;
-      continue;
-    }
-    const Entry& e = b.entries[b.head];
-    if (best == nullptr || entry_less(e, *best)) {
-      best = &e;
-      best_bucket = i;
-    }
-  }
-  assert(best != nullptr && "cal_direct_seek on a queue with no live events");
-  cursor_ = best_bucket;
-  cursor_upper_ = floor_div(best->time, width_) * width_ + width_;
-}
-
-void EventQueue::cal_rebuild(std::size_t nbuckets) {
-  nbuckets = std::clamp(nbuckets, kMinBuckets, kMaxBuckets);
-  rebuild_scratch_.clear();
-  rebuild_scratch_.reserve(live_);
-  for (Bucket& b : buckets_) {
-    for (std::size_t i = b.head; i < b.entries.size(); ++i) {
-      const Entry& e = b.entries[i];
-      if (slots_[e.slot].state == SlotState::kCancelled) {
-        release_slot(e.slot);
-        continue;
-      }
-      rebuild_scratch_.push_back(e);
-    }
-    b.entries.clear();
-    b.head = 0;
-  }
-  buckets_.resize(nbuckets);
-  bucket_mask_ = nbuckets - 1;
-  std::sort(rebuild_scratch_.begin(), rebuild_scratch_.end(), entry_less);
-  if (rebuild_scratch_.size() >= 2) {
-    // Width ~ mean inter-event gap, so the live population spreads over
-    // about one bucket each; clamped to >= 1 ns (integer time).
-    const Time span =
-        rebuild_scratch_.back().time - rebuild_scratch_.front().time;
-    width_ = std::max<Time>(
-        1, span / static_cast<Time>(rebuild_scratch_.size() - 1));
-  }
-  if (rebuild_scratch_.empty()) {
-    cursor_ = 0;
-    cursor_upper_ = width_;
-  } else {
-    cursor_ = bucket_of(rebuild_scratch_.front().time);
-    cursor_upper_ =
-        floor_div(rebuild_scratch_.front().time, width_) * width_ + width_;
-  }
-  // Globally sorted order keeps every bucket's [head, end) run ascending.
-  for (const Entry& e : rebuild_scratch_) {
-    buckets_[bucket_of(e.time)].entries.push_back(e);
-  }
-  cal_stored_ = rebuild_scratch_.size();
-}
-
-Time EventQueue::next_time() {
-  if (strategy_ == QueueStrategy::kCalendar) {
-    assert(live_ > 0);
-    return cal_find_min()->time;
-  }
-  heap_drop_cancelled();
-  assert(!heap_.empty());
-  return heap_.front().time;
+  min_src_ = kUnknown;
 }
 
 std::pair<Time, EventQueue::Callback> EventQueue::pop() {
-  if (strategy_ == QueueStrategy::kCalendar) {
-    assert(live_ > 0);
-    const Entry e = *cal_find_min();
-    Slot& s = slots_[e.slot];
-    check_live_slot(e, s);
-    Task cb = std::move(s.task);
-    release_slot(e.slot);
-    Bucket& b = buckets_[cursor_];
-    ++b.head;
-    --cal_stored_;
-    if (b.head >= b.entries.size()) {
-      b.entries.clear();
-      b.head = 0;
-    }
-    assert(live_ > 0);
-    --live_;
-    if (buckets_.size() > kMinBuckets && live_ < buckets_.size() / 8) {
-      cal_rebuild(buckets_.size() / 2);
-    }
-    return {e.time, std::move(cb)};
-  }
-  heap_drop_cancelled();
-  assert(!heap_.empty());
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const Entry e = heap_.back();
-  heap_.pop_back();
+  assert(live_ > 0);
+  if (min_src_ == kUnknown) find_min();
+  const Entry e = min_;
+  remove_min();
   Slot& s = slots_[e.slot];
   check_live_slot(e, s);
-  Task cb = std::move(s.task);
+  std::pair<Time, Callback> fired{e.time, std::move(s.task)};
   release_slot(e.slot);
-  assert(live_ > 0);
   --live_;
-  return {e.time, std::move(cb)};
+  return fired;
 }
 
 }  // namespace netrs::sim

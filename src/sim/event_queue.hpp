@@ -5,27 +5,25 @@
 // which makes every run with the same seed bit-for-bit reproducible.
 //
 // The queue is allocation-free in steady state: callbacks are sim::Task
-// objects (small-buffer inline storage), index entries carry only
-// (time, seq, slot) triples, and callbacks live in a recycled slot arena.
+// objects (small-buffer inline storage) built in place in a recycled slot
+// arena, and the ordering index carries only (time, seq, slot) triples.
 // Cancellation is O(1) and hash-free — an EventId encodes its slot index
 // plus a generation tag, so cancel() is a bounds check and a generation
 // compare. Cancelling destroys the callback (and everything it captured)
 // eagerly; the slot itself is tombstoned until its index entry surfaces.
 //
-// Two interchangeable priority-index strategies sit behind the same API
-// (DESIGN.md §4 "Event-queue strategies"):
-//   - kBinaryHeap: std::push_heap/pop_heap over a flat vector. O(log n)
-//     push/pop, simple, and the reference implementation.
-//   - kCalendar: a calendar queue (Brown 1988) of width-aligned time
-//     buckets, each kept sorted by (time, seq) with an amortized-O(1)
-//     sorted-append fast path. Pop reads the head of the current bucket,
-//     so push and pop are amortized O(1) at any depth; the bucket count
-//     and width adapt to the live event population.
-// Both produce the exact same (time, seq) total order, so golden digests
-// are bit-identical across strategies; the default is process-wide and
-// overridable with NETRS_EVENT_QUEUE=heap|calendar.
+// Ordering (DESIGN.md §4.8). Most simulator events fire a fixed delay after
+// they are scheduled (link latency, accelerator RTT, fixed service times).
+// A push whose delay `t - now` has recurred goes to a FIFO *delay lane* for
+// that delay; every other push goes to one binary min-heap. The scheduling
+// clock never goes backwards and seqs only grow, so appends keep a lane
+// sorted by (time, seq) — and an append is only taken when `t` is no
+// earlier than the lane's tail, so no lane choice can break the order. The
+// earliest event is the (time, seq) minimum over the lane heads and the
+// heap top; next_time() finds and caches it, and pop() takes it from there.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -41,42 +39,31 @@ namespace netrs::sim {
 /// valid id.
 using EventId = std::uint64_t;
 
-/// Priority-index implementation behind EventQueue (see the file comment);
-/// every strategy yields the identical (time, seq) pop order.
-enum class QueueStrategy : std::uint8_t {
-  kBinaryHeap = 0,  ///< Flat binary min-heap, O(log n) push/pop.
-  kCalendar = 1,    ///< Adaptive calendar queue, amortized O(1) push/pop.
-};
-
 /// Scheduled-callback priority queue with FIFO same-instant ordering, O(1)
-/// generation-tagged cancellation, a recycled slot arena, and a runtime
-/// strategy switch between a binary heap and a calendar queue (see the
-/// file comment for the allocation-free design and the strategy contract).
+/// generation-tagged cancellation, a recycled slot arena, and fixed-delay
+/// FIFO lanes in front of a binary heap (see the file comment).
 class EventQueue {
  public:
   /// The stored callable type (sim::Task, move-only small-buffer).
   using Callback = Task;
 
-  /// Constructs an empty queue using `strategy` as its priority index.
-  explicit EventQueue(QueueStrategy strategy = default_strategy());
+  /// Constructs an empty queue.
+  EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Process-wide default strategy for newly constructed queues: the
-  /// NETRS_EVENT_QUEUE environment variable ("heap" / "calendar") when
-  /// set and valid, else kCalendar.
-  [[nodiscard]] static QueueStrategy default_strategy();
-
-  /// Overrides the process-wide default (tests and benchmarks; queues
-  /// already constructed keep their strategy).
-  static void set_default_strategy(QueueStrategy s);
-
-  /// The strategy this queue was constructed with.
-  [[nodiscard]] QueueStrategy strategy() const { return strategy_; }
-
-  /// Schedules `cb` to fire at absolute time `t`. Returns an id usable with
-  /// `cancel`.
-  EventId push(Time t, Callback cb);
+  /// Schedules `cb` (any `void()` callable) to fire at absolute time `t`.
+  /// The Task is built directly in its slot, so a capture is moved once
+  /// here and once more when pop() hands it out. `now` is the scheduling
+  /// clock: `t - now` picks the delay lane. It should not decrease between
+  /// pushes; it only affects speed, never the pop order. Returns an id
+  /// usable with `cancel`.
+  template <typename F>
+  EventId push(Time t, F&& cb, Time now = 0) {
+    const std::uint32_t index = acquire_slot();
+    slots_[index].task.emplace(std::forward<F>(cb));
+    return enqueue(t, t - now, index);
+  }
 
   /// Cancels a pending event. Returns true if the id was pending;
   /// cancelling an already-fired or unknown id is a no-op returning false.
@@ -90,10 +77,16 @@ class EventQueue {
   /// Number of live events.
   [[nodiscard]] std::size_t size() const { return live_; }
 
-  /// Time of the earliest live event. Precondition: !empty().
-  [[nodiscard]] Time next_time();
+  /// Time of the earliest live event, or kNever when the queue is empty.
+  /// Caches that event, so the pop() that follows does not search again.
+  [[nodiscard]] Time next_time() {
+    if (live_ == 0) return kNever;
+    if (min_src_ == kUnknown) find_min();
+    return min_.time;
+  }
 
-  /// Removes and returns the earliest live event. Precondition: !empty().
+  /// Removes the earliest live event and returns its time and callback.
+  /// Precondition: !empty().
   std::pair<Time, Callback> pop();
 
   /// Routes slot-state invariant violations to the simulator's auditor
@@ -101,9 +94,17 @@ class EventQueue {
   void set_auditor(Auditor* auditor) { auditor_ = auditor; }
 
  private:
-  friend struct EventQueueTestPeer;  // generation-wraparound tests
+  friend struct EventQueueTestPeer;  // tests/queue_strategy_test.cpp
 
   static constexpr std::uint32_t kNilSlot = 0xFFFFFFFFu;
+  // Lanes are scanned on every find-min, so keep them few: the paper's
+  // model has about four fixed delays per deployment.
+  static constexpr std::size_t kMaxLanes = 8;
+  // A delay earns a lane when it misses twice within this many misses.
+  static constexpr std::size_t kRecentMisses = 4;
+  // min_src_ values other than a lane index.
+  static constexpr int kFromHeap = -1;
+  static constexpr int kUnknown = -2;
 
   enum class SlotState : std::uint8_t { kFree, kLive, kCancelled };
 
@@ -120,59 +121,68 @@ class EventQueue {
     std::uint32_t slot = kNilSlot;
   };
 
-  // Min-heap ordering over (time, seq); seqs are strictly increasing so
-  // the order is total and FIFO within an instant.
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
-  // Calendar bucket: entries ascending by (time, seq) from `head` on;
-  // positions before `head` are already consumed (cleared when the bucket
-  // drains, so capacity is recycled without memmoves).
-  struct Bucket {
-    std::vector<Entry> entries;
-    std::size_t head = 0;
-  };
-
   static bool entry_less(const Entry& a, const Entry& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
   }
 
+  // Min-heap ordering over (time, seq); seqs are strictly increasing so
+  // the order is total and FIFO within an instant.
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return entry_less(b, a);
+    }
+  };
+
+  // FIFO of the entries pushed with one delay, ascending by (time, seq):
+  // a ring buffer whose capacity is zero or a power of two.
+  struct Lane {
+    Duration delay = 0;
+    std::vector<Entry> ring;
+    std::size_t head = 0;
+    std::size_t count = 0;  // entries, tombstones included
+
+    [[nodiscard]] const Entry& front() const { return ring[head]; }
+    [[nodiscard]] const Entry& back() const {
+      return ring[(head + count - 1) & (ring.size() - 1)];
+    }
+    void push_back(const Entry& e);
+    void pop_front() {
+      head = (head + 1) & (ring.size() - 1);
+      --count;
+    }
+  };
+
   [[nodiscard]] std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
   void check_live_slot(const Entry& e, const Slot& s);
+  [[nodiscard]] bool cancelled(const Entry& e) const {
+    return slots_[e.slot].state == SlotState::kCancelled;
+  }
 
-  // Binary-heap strategy.
-  void heap_drop_cancelled();
-
-  // Calendar strategy.
-  [[nodiscard]] static Time floor_div(Time t, Time w);
-  [[nodiscard]] std::size_t bucket_of(Time t) const;
-  void cal_init();
-  void cal_insert(const Entry& e);
-  Entry* cal_find_min();
-  void cal_direct_seek();
-  void cal_rebuild(std::size_t nbuckets);
-
-  QueueStrategy strategy_;
-  std::vector<Entry> heap_;
-
-  std::vector<Bucket> buckets_;
-  std::vector<Entry> rebuild_scratch_;
-  Time width_ = 1;
-  std::size_t bucket_mask_ = 0;
-  std::size_t cursor_ = 0;      // bucket the year scan is positioned on
-  Time cursor_upper_ = 1;       // exclusive time bound of cursor_'s window
-  std::size_t cal_stored_ = 0;  // entries in buckets incl. tombstones
+  EventId enqueue(Time t, Duration delay, std::uint32_t index);
+  Lane* lane_for(Duration delay, Time t);
+  void find_min();
+  // Drops the entry find_min() chose from its lane or the heap.
+  void remove_min();
 
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNilSlot;
   std::uint64_t next_seq_ = 1;
   std::size_t live_ = 0;
+
+  std::vector<Entry> heap_;
+  std::array<Lane, kMaxLanes> lanes_;
+  std::size_t lanes_used_ = 0;
+  std::array<Duration, kRecentMisses> recent_misses_ = {kNever, kNever,
+                                                        kNever, kNever};
+  std::size_t next_miss_ = 0;
+
+  // The earliest live entry and where it sits (a lane index or kFromHeap),
+  // or kUnknown until find_min() runs.
+  Entry min_;
+  int min_src_ = kUnknown;
+
   Auditor* auditor_ = nullptr;
 };
 

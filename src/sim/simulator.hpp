@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 
 #include "sim/affinity.hpp"
 #include "sim/audit.hpp"
@@ -26,18 +27,8 @@ namespace netrs::sim {
 /// points for the invariant auditor and the observability hub.
 class Simulator {
  public:
-  /// Move-only small-buffer callable (sim::Task); lambdas convert
-  /// implicitly and captures up to Task::kInlineSize bytes never touch the
-  /// heap.
-  using Callback = EventQueue::Callback;
-
-  /// Constructs an empty simulator at time 0 with the auditor attached;
-  /// the event queue uses the process-wide default strategy.
-  Simulator() : Simulator(EventQueue::default_strategy()) {}
-
-  /// Constructs an empty simulator whose event queue uses `strategy`
-  /// explicitly (benchmarks and strategy-equivalence tests).
-  explicit Simulator(QueueStrategy strategy) : queue_(strategy) {
+  /// Constructs an empty simulator at time 0 with the auditor attached.
+  Simulator() {
     auditor_.attach(this);
     queue_.set_auditor(&auditor_);
   }
@@ -47,11 +38,20 @@ class Simulator {
   /// Current simulated time. 0 before the first event fires.
   [[nodiscard]] Time now() const { return now_; }
 
-  /// Schedules `cb` at absolute time `t`; `t` must be >= now().
-  EventId at(Time t, Callback cb);
+  /// Schedules `cb` (any `void()` callable) at absolute time `t`; `t` must
+  /// be >= now(). The callback becomes a sim::Task built in the queue's
+  /// slot (captures up to Task::kInlineSize bytes never touch the heap), so
+  /// its capture moves twice in all: into the slot, and out when it fires.
+  template <typename F>
+  EventId at(Time t, F&& cb) {
+    return queue_.push(checked_time(t), std::forward<F>(cb), now_);
+  }
 
   /// Schedules `cb` after a non-negative delay from now().
-  EventId after(Duration d, Callback cb);
+  template <typename F>
+  EventId after(Duration d, F&& cb) {
+    return at(now_ + checked_delay(d), std::forward<F>(cb));
+  }
 
   /// Schedules `cb` every `period` (> 0), first firing at now() + period.
   /// The periodic task stops when `cb` returns false or the simulation ends.
@@ -80,10 +80,9 @@ class Simulator {
 
   /// Timestamp of the earliest queued event, or kNever when the queue is
   /// empty (the ShardGroup coordinator peeks at global-event deadlines).
-  /// Non-const: peeking may purge cancelled calendar-queue entries.
-  [[nodiscard]] Time next_event_time() {
-    return queue_.empty() ? kNever : queue_.next_time();
-  }
+  /// Non-const: peeking caches the earliest event and may sweep cancelled
+  /// entries.
+  [[nodiscard]] Time next_event_time() { return queue_.next_time(); }
 
   /// Shard-ownership sentinel (checked builds; inline no-op otherwise).
   /// ShardGroup binds it for every shard simulator so at()/after() record
@@ -114,6 +113,11 @@ class Simulator {
   [[nodiscard]] obs::Observer* observer() const { return observer_; }
 
  private:
+  // Scheduling checks (shard affinity, causality); each returns its
+  // argument clamped so that nothing is scheduled into the past.
+  Time checked_time(Time t);
+  Duration checked_delay(Duration d);
+
   void schedule_tick(Duration period,
                      std::shared_ptr<std::function<bool()>> body);
 

@@ -41,14 +41,7 @@ class Task {
             typename = std::enable_if_t<!std::is_same_v<D, Task> &&
                                         std::is_invocable_r_v<void, D&>>>
   Task(F&& f) {  // NOLINT(google-explicit-constructor): drop-in for lambdas
-    if constexpr (fits_inline<D>()) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      vt_ = &inline_vtable<D>;
-    } else {
-      auto* heap = new D(std::forward<F>(f));
-      std::memcpy(buf_, &heap, sizeof(heap));
-      vt_ = &heap_vtable<D>;
-    }
+    construct<D>(std::forward<F>(f));
   }
 
   /// Move constructor; `other` is left empty.
@@ -74,6 +67,19 @@ class Task {
 
   /// Destroys the held callable, if any.
   ~Task() { reset(); }
+
+  /// Replaces the held callable with `f`, built in place: unlike
+  /// `*this = Task(f)`, a capture is moved once, not twice.
+  template <typename F>
+  void emplace(F&& f) {
+    using D = std::decay_t<F>;
+    if constexpr (std::is_same_v<D, Task>) {
+      *this = std::forward<F>(f);
+    } else {
+      reset();
+      construct<D>(std::forward<F>(f));
+    }
+  }
 
   /// Invokes the stored callable. Precondition: non-empty.
   void operator()() {
@@ -105,11 +111,24 @@ class Task {
   struct VTable {
     void (*invoke)(void* obj);
     /// Move-constructs the callable into `dst` and destroys the source
-    /// representation. Must be noexcept: the event heap relocates entries.
+    /// representation. Must be noexcept: the event queue's slot arena
+    /// relocates Tasks when it grows.
     void (*relocate)(void* dst, void* src) noexcept;
     void (*destroy)(void* obj) noexcept;
     bool inline_storage;
   };
+
+  template <typename D, typename F>
+  void construct(F&& f) {
+    if constexpr (fits_inline<D>()) {
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+      vt_ = &inline_vtable<D>;
+    } else {
+      auto* heap = new D(std::forward<F>(f));
+      std::memcpy(buf_, &heap, sizeof(heap));
+      vt_ = &heap_vtable<D>;
+    }
+  }
 
   template <typename D>
   static constexpr bool fits_inline() {

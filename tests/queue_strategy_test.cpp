@@ -1,12 +1,16 @@
-// Strategy-equivalence guard for the event queue (DESIGN.md §4): the
-// binary heap and the calendar queue must produce the exact same
-// (time, seq) pop order, so full-system results are bit-identical under
-// either strategy at any --jobs value. Also stresses the calendar's
-// cancel/tombstone handling (interleaved push/cancel/pop churn) and the
-// slot-generation wraparound boundary shared by both strategies.
+// Pop-order oracle for the event queue (DESIGN.md §4.8): a seeded fuzz of
+// EventQueue against a brute-force (time, seq) reference, with pushes that
+// land in the fixed-delay lanes and in the heap, cancels anywhere in a
+// lane and in the heap, peeks that leave the cached minimum standing
+// across later pushes and cancels, and a scheduling clock that sometimes
+// runs backwards so the lanes' order guard is exercised. Also covers
+// cancel-heavy churn, the slot-generation wraparound boundary, and
+// full-system digests at --jobs 1 and 4.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -16,8 +20,8 @@
 
 namespace netrs::sim {
 
-/// Test-only backdoor (friend of EventQueue) used to steer a slot's
-/// generation counter to the wraparound boundary.
+/// Test-only backdoor (friend of EventQueue): steers a slot's generation
+/// counter to the wraparound boundary and reports where entries sit.
 struct EventQueueTestPeer {
   /// Sets the generation counter of `slot` (must not have live events
   /// whose ids embed the old generation).
@@ -29,81 +33,158 @@ struct EventQueueTestPeer {
   static std::uint32_t generation(const EventQueue& q, std::uint32_t slot) {
     return q.slots_[slot].generation;
   }
+  /// Entries (tombstones included) held in the delay lanes.
+  static std::size_t lane_entries(const EventQueue& q) {
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < q.lanes_used_; ++i) n += q.lanes_[i].count;
+    return n;
+  }
+  /// True once every delay lane has been keyed (re-keying can start).
+  static bool lanes_full(const EventQueue& q) {
+    return q.lanes_used_ == EventQueue::kMaxLanes;
+  }
+  /// Entries (tombstones included) held in the heap.
+  static std::size_t heap_entries(const EventQueue& q) {
+    return q.heap_.size();
+  }
 };
 
 namespace {
 
-TEST(QueueStrategyTest, ChurnPopOrderIdenticalAcrossStrategies) {
-  // Drive both strategies through the same deterministic push/cancel/pop
-  // interleaving and require identical pop streams. EventIds are tracked
-  // per logical event (slot reuse order differs between strategies, so the
-  // raw ids may not match — only the pop order must).
-  EventQueue heap(QueueStrategy::kBinaryHeap);
-  EventQueue cal(QueueStrategy::kCalendar);
-  Rng rng(99);
+// The reference: every event ever pushed, in push order (which is seq
+// order), and the indices of the live ones, ascending. The next to fire
+// is the live one with the least (time, index).
+struct RefEvent {
+  Time time;
+  Duration delay;  // the fixed delay it was pushed with, or -1
+  EventId id;
+};
 
-  std::vector<EventId> heap_ids, cal_ids;   // per logical event
-  std::vector<bool> gone;                   // popped or cancelled
-  int heap_fired = -1, cal_fired = -1;      // set by callbacks
+struct Reference {
+  std::vector<RefEvent> events;
+  std::vector<std::size_t> live;
 
-  Time t = 0;
-  for (int op = 0; op < 20000; ++op) {
-    const std::uint64_t dice = rng.uniform(10);
-    if (dice < 5 || heap.empty()) {
-      // Push (sometimes far ahead, to exercise bucket-year wraps and the
-      // calendar's direct-seek fallback).
-      const Time when =
-          t + static_cast<Time>(rng.uniform(rng.uniform(50) == 0 ? 2'000'000
-                                                                 : 2'000));
-      const int k = static_cast<int>(heap_ids.size());
-      heap_ids.push_back(heap.push(when, [&heap_fired, k] { heap_fired = k; }));
-      cal_ids.push_back(cal.push(when, [&cal_fired, k] { cal_fired = k; }));
-      gone.push_back(false);
-    } else if (dice < 7) {
-      // Cancel a random not-yet-gone logical event (may pick none).
-      const std::size_t probe = rng.uniform(heap_ids.size());
-      if (!gone[probe]) {
-        EXPECT_TRUE(heap.cancel(heap_ids[probe]));
-        EXPECT_TRUE(cal.cancel(cal_ids[probe]));
-        gone[probe] = true;
-      } else {
-        EXPECT_FALSE(heap.cancel(heap_ids[probe]));
-        EXPECT_FALSE(cal.cancel(cal_ids[probe]));
-      }
-    } else {
-      ASSERT_EQ(heap.empty(), cal.empty());
-      ASSERT_EQ(heap.next_time(), cal.next_time());
-      auto [ht, hcb] = heap.pop();
-      auto [ct, ccb] = cal.pop();
-      ASSERT_EQ(ht, ct) << "pop time diverged at op " << op;
-      hcb();
-      ccb();
-      ASSERT_EQ(heap_fired, cal_fired) << "pop order diverged at op " << op;
-      ASSERT_GE(heap_fired, 0);
-      gone[static_cast<std::size_t>(heap_fired)] = true;
-      t = ht;
+  [[nodiscard]] std::size_t next() const {
+    std::size_t best = live.front();
+    for (const std::size_t k : live) {
+      if (events[k].time < events[best].time) best = k;  // ties: earlier k
     }
-    ASSERT_EQ(heap.size(), cal.size());
+    return best;
   }
-  // Drain both completely; tails must match too.
-  while (!heap.empty()) {
-    ASSERT_FALSE(cal.empty());
-    auto [ht, hcb] = heap.pop();
-    auto [ct, ccb] = cal.pop();
-    ASSERT_EQ(ht, ct);
-    hcb();
-    ccb();
-    ASSERT_EQ(heap_fired, cal_fired);
+  void retire(std::size_t k) {
+    live.erase(std::find(live.begin(), live.end(), k));
   }
-  EXPECT_TRUE(cal.empty());
+};
+
+TEST(QueueStrategyTest, ChurnPopOrderMatchesBruteForceReference) {
+  constexpr Duration kFixed[] = {30'000, 1'250, 5'000, 1'000, 0};
+  EventQueue q;
+  Rng rng(99);
+  Reference ref;
+  int fired = -1;  // set by callbacks
+  Time now = 0;
+  bool saw_lanes = false;
+  bool saw_heap = false;
+
+  auto pop_and_check = [&](int op) {
+    const std::size_t want = ref.next();
+    ASSERT_EQ(q.next_time(), ref.events[want].time) << "op " << op;
+    auto [t, cb] = q.pop();
+    cb();
+    ASSERT_EQ(t, ref.events[want].time) << "op " << op;
+    ASSERT_EQ(fired, static_cast<int>(want)) << "pop order at op " << op;
+    ASSERT_FALSE(q.cancel(ref.events[want].id)) << "fired id cancellable";
+    ref.retire(want);
+    now = t;
+  };
+
+  for (int op = 0; op < 30000; ++op) {
+    const std::uint64_t dice = rng.uniform(20);
+    if (dice < 10 || ref.live.empty()) {
+      Time t = 0;
+      Duration delay = -1;
+      Time clock = now;
+      if (dice < 6) {
+        delay = kFixed[rng.uniform(std::size(kFixed))];
+        t = now + delay;
+        if (rng.uniform(40) == 0) {
+          // A clock that ran backwards: the lane key repeats but `t` may
+          // precede the lane's tail, which must divert it to the heap.
+          clock = now - static_cast<Time>(rng.uniform(40'000));
+          t = clock + delay;
+          delay = -1;
+        }
+      } else if (dice < 8) {
+        t = now + static_cast<Time>(rng.uniform(2'000));
+      } else if (dice < 9) {
+        // Few distinct delays: they keep earning lanes, so lanes fill up
+        // and empty ones get re-keyed.
+        t = now + static_cast<Time>(rng.uniform(64));
+      } else {
+        t = now + 1'000'000 + static_cast<Time>(rng.uniform(2'000'000));
+      }
+      const int k = static_cast<int>(ref.events.size());
+      const EventId id = q.push(t, [&fired, k] { fired = k; }, clock);
+      ref.events.push_back({t, delay, id});
+      ref.live.push_back(static_cast<std::size_t>(k));
+    } else if (dice < 14) {
+      // Cancel at a lane's head, middle or tail (the live events pushed
+      // with one fixed delay, in push order), or a heap event.
+      std::vector<std::size_t> lane;
+      std::vector<std::size_t> heap;
+      const Duration d = kFixed[rng.uniform(std::size(kFixed))];
+      for (const std::size_t k : ref.live) {
+        if (ref.events[k].delay == d) lane.push_back(k);
+        if (ref.events[k].delay < 0) heap.push_back(k);
+      }
+      std::size_t victim = 0;
+      if (dice < 13 && !lane.empty()) {
+        const std::uint64_t where = rng.uniform(3);
+        victim = where == 0   ? lane.front()
+                 : where == 1 ? lane[lane.size() / 2]
+                              : lane.back();
+      } else if (!heap.empty()) {
+        victim = heap[rng.uniform(heap.size())];
+      } else {
+        continue;
+      }
+      ASSERT_TRUE(q.cancel(ref.events[victim].id)) << "op " << op;
+      ASSERT_FALSE(q.cancel(ref.events[victim].id)) << "double cancel";
+      ref.retire(victim);
+    } else {
+      pop_and_check(op);
+      if (HasFatalFailure()) return;
+    }
+    ASSERT_EQ(q.size(), ref.live.size()) << "op " << op;
+    if (rng.uniform(4) == 0) {
+      // Peek: the cached minimum must then survive the pushes and cancels
+      // that come before the next pop.
+      ASSERT_EQ(q.next_time(),
+                ref.live.empty() ? kNever : ref.events[ref.next()].time)
+          << "op " << op;
+    }
+    saw_lanes = saw_lanes || EventQueueTestPeer::lane_entries(q) > 0;
+    saw_heap = saw_heap || EventQueueTestPeer::heap_entries(q) > 0;
+  }
+  // Drain; the tail must match too.
+  while (!ref.live.empty()) {
+    pop_and_check(-1);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.next_time(), kNever);
+  EXPECT_TRUE(saw_lanes) << "the fuzz never reached the delay lanes";
+  EXPECT_TRUE(saw_heap) << "the fuzz never reached the heap";
+  EXPECT_TRUE(EventQueueTestPeer::lanes_full(q))
+      << "the fuzz never keyed every lane, so re-keying went untested";
 }
 
 TEST(QueueStrategyTest, CancelHeavyChurnReclaimsTombstones) {
-  // Cancel-dominated load on the calendar: tombstones in windows the
-  // cursor jumps over must be purged (not pinned forever). Every cancel
-  // must succeed exactly once, stale ids must keep failing, and live
-  // accounting must stay exact through 200 rounds of 90% cancellation.
-  EventQueue q(QueueStrategy::kCalendar);
+  // Cancel-dominated load: tombstones in the lanes and the heap must be
+  // swept as they surface. Every cancel must succeed exactly once, stale
+  // ids must keep failing, and live accounting must stay exact through
+  // 200 rounds of 90% cancellation.
+  EventQueue q;
   Rng rng(7);
   Time t = 0;
   std::vector<EventId> ids;  // by logical event k
@@ -113,8 +194,10 @@ TEST(QueueStrategyTest, CancelHeavyChurnReclaimsTombstones) {
   for (int round = 0; round < 200; ++round) {
     for (int i = 0; i < 100; ++i) {
       const int k = static_cast<int>(ids.size());
-      ids.push_back(q.push(t + 1 + static_cast<Time>(rng.uniform(1'000'000)),
-                           [&fired, k] { fired = k; }));
+      const Time when = i % 2 == 0
+                            ? t + 30'000
+                            : t + 1 + static_cast<Time>(rng.uniform(1'000'000));
+      ids.push_back(q.push(when, [&fired, k] { fired = k; }, t));
       gone.push_back(false);
       ++live_count;
     }
@@ -149,30 +232,36 @@ TEST(QueueStrategyTest, CancelHeavyChurnReclaimsTombstones) {
   EXPECT_EQ(live_count, 0u);
 }
 
-class QueueStrategyWraparoundTest
-    : public ::testing::TestWithParam<QueueStrategy> {};
+// Param: whether the boundary event sits in a delay lane or in the heap,
+// the two places an index entry can live.
+class QueueStrategyWraparoundTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(QueueStrategyWraparoundTest, GenerationWrapSkipsZeroAndKillsStaleIds) {
-  EventQueue q(GetParam());
-
-  // Cycle slot 0 once so it exists and is free.
-  const EventId first = q.push(1, [] {});
+  const bool in_lane = GetParam();
+  EventQueue q;
+  // Cycle slot 0 once so it exists and is free. Its delay (1) counts as
+  // one miss, so the next push with delay 1 earns a lane.
+  const EventId first = q.push(1, [] {}, 0);
   ASSERT_EQ(static_cast<std::uint32_t>(first & 0xFFFFFFFFu), 0u);
   (void)q.pop();
 
   // Park the free slot's generation at the wrap boundary.
   EventQueueTestPeer::set_generation(q, 0, 0xFFFFFFFFu);
 
-  // Reuse the slot: the id embeds generation 0xFFFFFFFF.
-  const EventId boundary = q.push(2, [] {});
+  // Reuse the slot: the id embeds generation 0xFFFFFFFF. Pushed from
+  // now=1 the delay is 1 (a lane); from now=0 it is 2, a first miss (the
+  // heap).
+  const Time now = in_lane ? 1 : 0;
+  const EventId boundary = q.push(2, [] {}, now);
   ASSERT_EQ(static_cast<std::uint32_t>(boundary & 0xFFFFFFFFu), 0u);
   ASSERT_EQ(static_cast<std::uint32_t>(boundary >> 32), 0xFFFFFFFFu);
+  ASSERT_EQ(EventQueueTestPeer::lane_entries(q), in_lane ? 1u : 0u);
 
   // Cancel it, then force the tombstone to be swept so the slot recycles:
   // a live event at the same instant sits behind the tombstone (lower
   // seq first), so popping it releases the cancelled slot on the way.
   ASSERT_TRUE(q.cancel(boundary));
-  const EventId later = q.push(2, [] {});
+  const EventId later = q.push(2, [] {}, now);
   auto [when, cb] = q.pop();
   EXPECT_EQ(when, 2);
 
@@ -195,12 +284,9 @@ TEST_P(QueueStrategyWraparoundTest, GenerationWrapSkipsZeroAndKillsStaleIds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothStrategies, QueueStrategyWraparoundTest,
-                         ::testing::Values(QueueStrategy::kBinaryHeap,
-                                           QueueStrategy::kCalendar),
+                         ::testing::Values(false, true),
                          [](const auto& info) {
-                           return info.param == QueueStrategy::kBinaryHeap
-                                      ? "heap"
-                                      : "calendar";
+                           return info.param ? "lane" : "heap";
                          });
 
 }  // namespace
@@ -247,9 +333,9 @@ std::uint64_t result_digest(const ExperimentResult& res) {
   return d.value();
 }
 
-class StrategyDigestTest : public ::testing::TestWithParam<Scheme> {};
+class QueueDigestTest : public ::testing::TestWithParam<Scheme> {};
 
-TEST_P(StrategyDigestTest, HeapAndCalendarDigestsMatchAtAnyJobsValue) {
+TEST_P(QueueDigestTest, DigestsMatchAtJobs1AndJobs4) {
   const Scheme scheme = GetParam();
   ExperimentConfig cfg;
   cfg.fat_tree_k = 4;  // 16 hosts
@@ -259,29 +345,17 @@ TEST_P(StrategyDigestTest, HeapAndCalendarDigestsMatchAtAnyJobsValue) {
   cfg.repeats = 2;
   cfg.seed = 17;
 
-  const sim::QueueStrategy saved = sim::EventQueue::default_strategy();
-  std::uint64_t digests[2][2];  // [strategy][jobs index]
-  const sim::QueueStrategy strategies[2] = {sim::QueueStrategy::kBinaryHeap,
-                                            sim::QueueStrategy::kCalendar};
-  for (int s = 0; s < 2; ++s) {
-    sim::EventQueue::set_default_strategy(strategies[s]);
-    for (int j = 0; j < 2; ++j) {
-      cfg.jobs = j == 0 ? 1 : 4;
-      digests[s][j] = result_digest(run_experiment(scheme, cfg));
-    }
+  std::uint64_t digests[2];  // [jobs index]
+  for (int j = 0; j < 2; ++j) {
+    cfg.jobs = j == 0 ? 1 : 4;
+    digests[j] = result_digest(run_experiment(scheme, cfg));
   }
-  sim::EventQueue::set_default_strategy(saved);
-
-  EXPECT_EQ(digests[0][0], digests[0][1])
-      << "heap: jobs=1 vs jobs=4 diverged for " << scheme_name(scheme);
-  EXPECT_EQ(digests[1][0], digests[1][1])
-      << "calendar: jobs=1 vs jobs=4 diverged for " << scheme_name(scheme);
-  EXPECT_EQ(digests[0][0], digests[1][0])
-      << "heap vs calendar diverged for " << scheme_name(scheme);
+  EXPECT_EQ(digests[0], digests[1])
+      << "jobs=1 vs jobs=4 diverged for " << scheme_name(scheme);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllSchemes, StrategyDigestTest,
+    AllSchemes, QueueDigestTest,
     ::testing::Values(Scheme::kCliRS, Scheme::kCliRSR95Cancel,
                       Scheme::kNetRSToR, Scheme::kNetRSIlp),
     [](const auto& info) {

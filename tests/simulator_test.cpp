@@ -110,5 +110,41 @@ TEST(SimulatorTest, SameInstantEventsFireInScheduleOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
+// A capture that counts its own move constructions.
+struct MoveCounter {
+  int* moves;
+  explicit MoveCounter(int* m) : moves(m) {}
+  MoveCounter(MoveCounter&& other) noexcept : moves(other.moves) { ++*moves; }
+  MoveCounter(const MoveCounter&) = delete;
+  MoveCounter& operator=(const MoveCounter&) = delete;
+  MoveCounter& operator=(MoveCounter&&) = delete;
+  ~MoveCounter() = default;
+};
+
+TEST(SimulatorTest, SchedulingAndFiringMoveTheCaptureAtMostTwice) {
+  // The callback's Task is built in its queue slot and moved out once when
+  // it fires; at()/after() add no Task copies of their own. Warm the slot
+  // arena first, as in steady state: growing it relocates queued Tasks.
+  Simulator s;
+  s.at(1, [] {});
+  s.at(2, [] {});
+  s.run();
+  int after_moves = 0;
+  int at_moves = 0;
+  int fired = 0;
+  s.after(30, [c = MoveCounter(&after_moves), &fired] {
+    (void)c;
+    ++fired;
+  });
+  s.at(45, [c = MoveCounter(&at_moves), &fired] {
+    (void)c;
+    ++fired;
+  });
+  s.run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_LE(after_moves, 2);
+  EXPECT_LE(at_moves, 2);
+}
+
 }  // namespace
 }  // namespace netrs::sim
