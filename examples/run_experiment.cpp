@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "harness/experiment.hpp"
@@ -194,7 +195,14 @@ int main(int argc, char** argv) {
               harness::resolve_jobs(cfg.jobs), cfg.shards);
   std::fflush(stdout);
 
-  const harness::ExperimentResult r = harness::run_experiment(scheme, cfg);
+  harness::ExperimentResult r;
+  try {
+    r = harness::run_experiment(scheme, cfg);
+  } catch (const std::invalid_argument& e) {
+    // A malformed config or fault plan: report it like a bad flag.
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
   std::printf("\nlatency (ms): mean %.3f | p50 %.3f | p95 %.3f | p99 %.3f "
               "| p99.9 %.3f | max %.3f\n",
               r.mean_ms(), r.percentile_ms(0.50), r.percentile_ms(0.95),

@@ -276,6 +276,40 @@ void register_run_metrics(obs::MetricsRegistry& reg, sim::Simulator& simulator,
   fabric.register_metrics(reg);
 }
 
+// Rejects configurations that would hang or build a bad cluster, in
+// every build type: a zero service time or utilization makes the arrival
+// rate infinite or the run length inf, an odd arity is no fat tree (the
+// FatTree checks only with assert), and an over-provisioned cluster walks
+// off the shuffled host vector.
+void validate_config(const ExperimentConfig& cfg) {
+  const auto reject = [](const std::string& what) {
+    throw std::invalid_argument("run_experiment: " + what);
+  };
+  if (cfg.fat_tree_k < 2 || cfg.fat_tree_k % 2 != 0) {
+    reject("fat_tree_k = " + std::to_string(cfg.fat_tree_k) +
+           " must be even and >= 2");
+  }
+  if (cfg.mean_service_time <= 0) {
+    reject("mean_service_time = " + std::to_string(cfg.mean_service_time) +
+           " ns must be > 0");
+  }
+  if (!std::isfinite(cfg.utilization) || cfg.utilization <= 0.0) {
+    reject("utilization = " + std::to_string(cfg.utilization) +
+           " must be finite and > 0");
+  }
+  if (cfg.server_parallelism < 1) {
+    reject("server_parallelism = " + std::to_string(cfg.server_parallelism) +
+           " must be >= 1");
+  }
+  const auto hosts = net::FatTree(cfg.fat_tree_k).host_count();
+  if (cfg.num_servers + cfg.num_clients > static_cast<int>(hosts)) {
+    reject("num_servers + num_clients = " +
+           std::to_string(cfg.num_servers + cfg.num_clients) +
+           " exceeds the k=" + std::to_string(cfg.fat_tree_k) +
+           " fat tree's " + std::to_string(hosts) + " hosts");
+  }
+}
+
 RunOutput run_once(Scheme scheme, const ExperimentConfig& cfg,
                    std::uint64_t seed) {
   // Shard-count resolution (DESIGN.md §4.10): clamp to [1, pods]. The obs
@@ -291,16 +325,6 @@ RunOutput run_once(Scheme scheme, const ExperimentConfig& cfg,
   sim::Rng root(seed);
 
   net::FatTree topo(cfg.fat_tree_k);
-  if (cfg.num_servers + cfg.num_clients >
-      static_cast<int>(topo.host_count())) {
-    // Fail fast in every build type: an over-provisioned cluster used to
-    // walk off the shuffled host vector in Release builds.
-    throw std::invalid_argument(
-        "run_experiment: num_servers + num_clients = " +
-        std::to_string(cfg.num_servers + cfg.num_clients) +
-        " exceeds the k=" + std::to_string(cfg.fat_tree_k) +
-        " fat tree's " + std::to_string(topo.host_count()) + " hosts");
-  }
 
   net::FabricConfig fabric_cfg;
   fabric_cfg.switch_link_latency = cfg.switch_link_latency;
@@ -644,15 +668,15 @@ RunOutput run_once(Scheme scheme, const ExperimentConfig& cfg,
                          clients, operators, shared_accels, shared_selectors,
                          moments);
     // Flight + decision records apply the same warmup filter as the
-    // measured latencies (at merge time, in deferred mode), so record
-    // counts match the latency sample count exactly.
+    // measured latencies (in the harvest merges), so record counts match
+    // the latency sample count exactly.
     observer->set_measure_from(warmup_time);
     if (observer->deciding()) {
       // Seed the decision oracle's journal: every server's t=0 state on
       // its own shard's lane. From here on the servers journal their own
-      // transitions (kv::Server::journal_state), and the deferred replay
-      // looks decisions up against the merged journal — same answers as
-      // the old live oracle, at any shard count.
+      // transitions (kv::Server::journal_state), and the harvest replay
+      // looks decisions up against the merged journal, at any shard
+      // count.
       for (const auto& s : servers) {
         observer->lane(fabric.shard_of(s->node_id()))
             .decisions()
@@ -901,8 +925,10 @@ ExperimentResult run_experiment(Scheme scheme, const ExperimentConfig& cfg) {
   const auto wall_start = std::chrono::steady_clock::now();
   ExperimentResult res;
   res.scheme = scheme;
-  // Parse the fault plan once up front: a malformed spec throws here, on
-  // the caller's thread, before any repeat fans out.
+  // Validate the config and parse the fault plan once up front: a
+  // malformed value throws here, on the caller's thread, before any
+  // repeat fans out.
+  validate_config(cfg);
   const sim::FaultPlan fault_plan = sim::FaultPlan::parse(cfg.fault_plan);
   res.fault.enabled = !fault_plan.empty();
   res.fault.window_start_ms = sim::to_millis(fault_plan.window_start());

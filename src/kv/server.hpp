@@ -111,7 +111,7 @@ class NETRS_SHARD_LOCAL Server final : public net::Host {
   void fluctuate();
   /// Journals {queue_size, parallelism, current mean} to the decision
   /// recorder's oracle log after any transition of those values (no-op
-  /// without an observer, or when the recorder is in online mode).
+  /// without an observer, or when decision auditing is off).
   void journal_state();
 
   ServerConfig cfg_;

@@ -1,6 +1,7 @@
 #include "obs/attribution.hpp"
 
 #include <algorithm>
+#include <map>
 #include <tuple>
 
 #include "obs/metrics.hpp"
@@ -10,38 +11,30 @@ namespace netrs::obs {
 void FlightRecorder::on_accel(std::uint64_t request_id, sim::Time arrival,
                               sim::Time start, sim::Duration service) {
   if (!enabled_ || request_id == 0) return;
-  if (deferred_) {
-    log_.accels.push_back(FlightLog::Accel{request_id, arrival, start,
-                                           service});
-    return;
-  }
-  PendingFlight& p = pending_[request_id];
-  if (p.accel_valid) return;  // keep the first accelerator contact
-  p.accel_valid = true;
-  p.accel_arrival = arrival;
-  p.accel_start = start;
-  p.accel_service = service;
+  log_.accels.push_back(FlightLog::Accel{request_id, arrival, start, service});
 }
 
 void FlightRecorder::on_server(std::uint64_t request_id, net::HostId server,
                                sim::Time arrival, sim::Time start,
                                sim::Duration service) {
   if (!enabled_ || request_id == 0) return;
-  if (deferred_) {
-    log_.servers.push_back(FlightLog::Server{request_id, server, arrival,
-                                             start, service});
-    return;
-  }
-  pending_[request_id].copies.push_back(
-      CopyObs{server, arrival, start, service});
+  log_.servers.push_back(
+      FlightLog::Server{request_id, server, arrival, start, service});
+}
+
+void FlightRecorder::on_complete(std::uint64_t request_id,
+                                 sim::Time first_send, sim::Time winner_send,
+                                 net::HostId winner, sim::Time now) {
+  if (!enabled_ || request_id == 0) return;
+  log_.completes.push_back(
+      FlightLog::Complete{request_id, first_send, winner_send, winner, now});
 }
 
 namespace {
 
-// The telescoping decomposition shared by the online path and the
-// deferred join: every component is a difference of adjacent observed
-// timestamps along the winning copy's path, so the sum equals `total`
-// exactly (the invariant attribution_test asserts per record).
+// The telescoping decomposition: every component is a difference of
+// adjacent observed timestamps along the winning copy's path, so the sum
+// equals `total` exactly (the invariant attribution_test asserts per record).
 FlightRecord make_record(std::uint64_t request_id, sim::Time first_send,
                          sim::Time winner_send, net::HostId winner,
                          sim::Time now, bool accel_valid,
@@ -72,48 +65,6 @@ FlightRecord make_record(std::uint64_t request_id, sim::Time first_send,
 
 }  // namespace
 
-void FlightRecorder::on_complete(std::uint64_t request_id,
-                                 sim::Time first_send, sim::Time winner_send,
-                                 net::HostId winner, sim::Time now) {
-  if (!enabled_ || request_id == 0) return;
-  if (deferred_) {
-    log_.completes.push_back(FlightLog::Complete{request_id, first_send,
-                                                 winner_send, winner, now});
-    return;
-  }
-  const auto it = pending_.find(request_id);
-  if (it == pending_.end()) {
-    ++unmatched_;
-    return;
-  }
-  // Same warmup filter as the harness's measured latencies: a request
-  // belongs to the measured set iff it was first sent after warmup.
-  if (first_send < measure_from_) {
-    pending_.erase(it);
-    ++warmup_skipped_;
-    return;
-  }
-  const PendingFlight& p = it->second;
-  const CopyObs* copy = nullptr;
-  for (const CopyObs& c : p.copies) {
-    if (c.server == winner) {
-      copy = &c;
-      break;
-    }
-  }
-  if (copy == nullptr) {
-    ++unmatched_;
-    pending_.erase(it);
-    return;
-  }
-
-  records_.push_back(make_record(
-      request_id, first_send, winner_send, winner, now, p.accel_valid,
-      p.accel_arrival, p.accel_start, p.accel_service, copy->arrival,
-      copy->start, copy->service));
-  pending_.erase(it);
-}
-
 FlightSnapshot join_flights(const std::vector<FlightLog>& logs,
                             sim::Time measure_from) {
   // Canonical per-request state assembled from the union of all logs.
@@ -127,10 +78,8 @@ FlightSnapshot join_flights(const std::vector<FlightLog>& logs,
   for (const FlightLog& log : logs) {
     for (const FlightLog::Accel& a : log.accels) {
       Joined& j = pending[a.request_id];
-      // Canonical stand-in for the online "first accelerator contact":
-      // the minimum by (start, arrival, service). A recorder's own stream
-      // is start-time-ordered, so at --shards 1 this is the same contact
-      // the online path would keep (up to exact-ns ties).
+      // The first accelerator contact, canonically: the minimum by
+      // (start, arrival, service), whichever log it came from.
       if (!j.accel_valid ||
           std::tie(a.start, a.arrival, a.service) <
               std::tie(j.accel.start, j.accel.arrival, j.accel.service)) {
@@ -144,8 +93,8 @@ FlightSnapshot join_flights(const std::vector<FlightLog>& logs,
     completes.insert(completes.end(), log.completes.begin(),
                      log.completes.end());
   }
-  // Canonical copy order (the online path saw service starts in time
-  // order) and completion order. request_id breaks exact-time ties.
+  // Canonical copy order (service starts in time order) and completion
+  // order. request_id breaks exact-time ties.
   for (auto& [id, j] : pending) {
     std::stable_sort(j.copies.begin(), j.copies.end(),
                      [](const FlightLog::Server& a,
@@ -171,6 +120,8 @@ FlightSnapshot join_flights(const std::vector<FlightLog>& logs,
       ++snap.unmatched;
       continue;
     }
+    // Same warmup filter as the harness's measured latencies: a request
+    // belongs to the measured set iff it was first sent after warmup.
     if (c.first_send < measure_from) {
       pending.erase(it);
       ++snap.warmup_skipped;
@@ -196,16 +147,6 @@ FlightSnapshot join_flights(const std::vector<FlightLog>& logs,
     pending.erase(it);
   }
   snap.pending_at_end = pending.size();
-  return snap;
-}
-
-FlightSnapshot FlightRecorder::take() const {
-  FlightSnapshot snap;
-  snap.enabled = enabled_;
-  snap.records = records_;
-  snap.warmup_skipped = warmup_skipped_;
-  snap.unmatched = unmatched_;
-  snap.pending_at_end = pending_.size();
   return snap;
 }
 

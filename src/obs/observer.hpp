@@ -1,9 +1,13 @@
-// Observability hub: one Observer per simulation run.
+// Observability hub: one Observer per shard per repeat.
 //
-// The Observer bundles the trace ring (obs/trace.hpp) and the metrics
-// registry (obs/metrics.hpp) and hangs off the Simulator as a plain
-// pointer (`Simulator::set_observer`), which the simulator only forward-
-// declares — sim keeps zero dependency on obs. Components guard every
+// The Observer bundles one shard's recording logs — the trace ring
+// (obs/trace.hpp), the flight recorder (obs/attribution.hpp) and the
+// decision auditor (obs/decision.hpp) — and hangs off that shard's
+// Simulator as a plain pointer (`Simulator::set_observer`), which the
+// simulator only forward-declares — sim keeps zero dependency on obs.
+// Every recorder is a plain append log; the ShardObserverSet
+// (obs/shard_obs.hpp) owns the repeat's metrics registry and builds all
+// records from the logs at harvest. Components guard every
 // record with `if (obs::Observer* o = sim.observer())`, so a run without
 // observability pays exactly one pointer load + branch per would-be
 // event ("zero overhead when off" in the runtime sense; the audit layer
@@ -19,14 +23,9 @@
 
 #include "obs/attribution.hpp"
 #include "obs/decision.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/affinity.hpp"
 #include "sim/time.hpp"
-
-namespace netrs::sim {
-class Simulator;
-}  // namespace netrs::sim
 
 namespace netrs::obs {
 
@@ -74,10 +73,9 @@ struct NETRS_SHARED_IMMUTABLE ObsConfig {
   }
 };
 
-/// Per-simulator observability hub; owns the trace ring, metrics
-/// registry, and the flight/decision recorders. Created by the harness —
-/// one per shard per repeat (plus a coordinator-side one for the global
-/// simulator), bundled in a ShardObserverSet (obs/shard_obs.hpp) — and
+/// Per-shard observability hub; owns the trace ring and the
+/// flight/decision recorders. Created by the harness — one per shard per
+/// repeat (plus a coordinator-side one for the global simulator), bundled in a ShardObserverSet (obs/shard_obs.hpp) — and
 /// attached to that simulator via Simulator::set_observer, so every
 /// component hook lands on its own shard's observer with no cross-shard
 /// traffic. Harvested through the set's deterministic merges after the
@@ -94,9 +92,6 @@ class NETRS_SHARD_LOCAL Observer {
   /// True when trace events are being recorded.
   [[nodiscard]] bool tracing() const { return ring_.enabled(); }
 
-  /// True when the metrics registry is live (sampler + registrations).
-  [[nodiscard]] bool metering() const { return metering_; }
-
   /// True when the flight recorder is capturing latency attribution.
   [[nodiscard]] bool attributing() const { return flight_.enabled(); }
 
@@ -111,10 +106,6 @@ class NETRS_SHARD_LOCAL Observer {
 
   /// The trace ring (mostly for tests; components use span()/instant()).
   [[nodiscard]] TraceRing& ring() { return ring_; }
-
-  /// The metrics registry; register counters/gauges/histograms here
-  /// before the sampler's first tick.
-  [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
 
   /// Records a complete span ('X'): `ts` + `dur` in simulated ns,
   /// `tid` = recording node, `id` = request correlation id, plus up to
@@ -133,34 +124,13 @@ class NETRS_SHARD_LOCAL Observer {
   /// Names a trace thread (forwarded to TraceRing::set_tid_name).
   void set_tid_name(std::int32_t tid, std::string name);
 
-  /// Starts the simulated-time metrics ticker on `sim`: one sample every
-  /// ObsConfig::sample_interval until simulated time passes `until`
-  /// (ticks stop themselves afterwards). No-op when metering() is false.
-  void start_sampler(sim::Simulator& sim, sim::Time until);
-
   /// Extracts this run's trace contribution for the merged JSON file.
   [[nodiscard]] TraceSnapshot take_trace() const;
 
-  /// Extracts this run's sampled metrics series.
-  [[nodiscard]] MetricsSnapshot take_metrics() const {
-    return metrics_.snapshot();
-  }
-
-  /// Extracts this run's flight-attribution records.
-  [[nodiscard]] FlightSnapshot take_flight() const { return flight_.take(); }
-
-  /// Extracts this run's audited decisions.
-  [[nodiscard]] DecisionSnapshot take_decisions() const {
-    return decisions_.take();
-  }
-
  private:
   TraceRing ring_;
-  MetricsRegistry metrics_;
   FlightRecorder flight_;
   DecisionRecorder decisions_;
-  bool metering_;
-  sim::Duration sample_interval_;
 };
 
 }  // namespace netrs::obs

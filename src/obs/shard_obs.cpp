@@ -10,16 +10,6 @@ ShardObserverSet::ShardObserverSet(const ObsConfig& cfg, int lanes)
     lanes_.push_back(std::make_unique<Observer>(cfg));
   }
   if (lanes > 1) coord_ = std::make_unique<Observer>(cfg);
-  // Deferred everywhere — the serial and sharded paths must run the very
-  // same merge code for the byte-identity guarantee to hold.
-  for (const std::unique_ptr<Observer>& o : lanes_) {
-    o->flight().set_deferred(true);
-    o->decisions().set_deferred(true);
-  }
-  if (coord_ != nullptr) {
-    coord_->flight().set_deferred(true);
-    coord_->decisions().set_deferred(true);
-  }
 }
 
 void ShardObserverSet::set_tid_name(std::int32_t tid,
@@ -40,18 +30,13 @@ TraceSnapshot ShardObserverSet::take_trace() const {
   return merge_traces(parts, cfg_.want_trace() ? cfg_.trace_capacity : 0);
 }
 
-MetricsSnapshot ShardObserverSet::take_metrics() const {
-  const Observer& coord = coord_ != nullptr ? *coord_ : *lanes_.front();
-  return coord.take_metrics();
-}
-
 FlightSnapshot ShardObserverSet::take_flight() const {
   std::vector<FlightLog> logs;
   logs.reserve(lanes_.size() + 1);
   for (const std::unique_ptr<Observer>& o : lanes_) {
-    logs.push_back(o->flight().take_log());
+    logs.push_back(o->flight().log());
   }
-  if (coord_ != nullptr) logs.push_back(coord_->flight().take_log());
+  if (coord_ != nullptr) logs.push_back(coord_->flight().log());
   FlightSnapshot snap = join_flights(logs, measure_from_);
   snap.enabled = attributing();
   return snap;
@@ -61,9 +46,9 @@ DecisionSnapshot ShardObserverSet::take_decisions() const {
   std::vector<DecisionLog> logs;
   logs.reserve(lanes_.size() + 1);
   for (const std::unique_ptr<Observer>& o : lanes_) {
-    logs.push_back(o->decisions().take_log());
+    logs.push_back(o->decisions().log());
   }
-  if (coord_ != nullptr) logs.push_back(coord_->decisions().take_log());
+  if (coord_ != nullptr) logs.push_back(coord_->decisions().log());
   DecisionSnapshot snap =
       replay_decisions(logs, cfg_.herd_window, measure_from_);
   snap.enabled = deciding();

@@ -7,14 +7,15 @@
 // instead owns one shard-local Observer per shard — attached by the
 // harness to that shard's simulator, so every component hook lands on its
 // own shard's recorders with no synchronization — plus one coordinator
-// observer for the global simulator (controller, fault injector). All
-// flight/decision recorders run in deferred (raw-log) mode, and the
-// take_*() harvests merge the per-shard contributions in canonical orders
-// keyed on simulated time: event times are shard-count-invariant
-// (DESIGN.md §4.10), so the merged trace JSON, attribution CSV, and
-// decision CSV are byte-identical at any --shards value. The single-shard
-// harness routes through the very same deferred merges, which is what
-// makes the identity hold by construction rather than by coincidence.
+// observer for the global simulator (controller, fault injector), and the
+// repeat's one metrics registry. Every recorder is a plain append log;
+// the take_*() harvests are the only code that builds records, merging
+// the per-shard logs in canonical orders keyed on simulated time: event
+// times are shard-count-invariant (DESIGN.md §4.10), so the merged trace
+// JSON, attribution CSV, and decision CSV are byte-identical at any
+// --shards value. The single-shard harness routes through the very same
+// harvest merges, which is what makes the identity hold by construction
+// rather than by coincidence.
 //
 // Observation only, unchanged: nothing here mutates simulation state,
 // consumes RNG draws, or reads the wall clock — golden digests are
@@ -26,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "obs/observer.hpp"
 #include "sim/affinity.hpp"
 #include "sim/time.hpp"
@@ -41,16 +43,16 @@ struct NETRS_SHARED_IMMUTABLE TraceLaneCounts {
 };
 
 /// Owns the per-shard Observers of one repeat plus the coordinator-side
-/// one, and produces the deterministic merged snapshots. Coordinator-
-/// owned: the harness creates it, attaches the lanes, and harvests after
-/// the run; shard threads only ever touch their own lane's Observer.
+/// one and the repeat's metrics registry, and produces the deterministic
+/// merged snapshots. Coordinator-owned: the harness creates it, attaches
+/// the lanes, and harvests after the run; shard threads only ever touch
+/// their own lane's Observer.
 class NETRS_COORD_GLOBAL ShardObserverSet {
  public:
   /// Creates `lanes` shard observers (>= 1) from `cfg`. With a single
   /// lane the coordinator observer IS lane 0 (the serial engine runs
   /// shard and global events on one simulator); with more, a separate
-  /// coordinator observer is added for the global simulator. Every
-  /// flight/decision recorder is switched to deferred mode.
+  /// coordinator observer is added for the global simulator.
   ShardObserverSet(const ObsConfig& cfg, int lanes);
 
   /// Number of shard lanes (excludes the coordinator observer).
@@ -65,15 +67,15 @@ class NETRS_COORD_GLOBAL ShardObserverSet {
     return coord_ != nullptr ? *coord_ : *lanes_.front();
   }
 
-  /// The coordinator observer's registry: the single metrics home of the
-  /// repeat (gauges read cross-shard state at sampling quiescence, so
-  /// per-shard registries would buy nothing but merge complexity).
-  [[nodiscard]] MetricsRegistry& metrics() { return coordinator().metrics(); }
+  /// The single metrics home of the repeat. Gauges read cross-shard state
+  /// at sampling quiescence, and sharded histograms give each shard its
+  /// own write lane, so one registry serves every shard.
+  [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
 
   /// True when trace events are being recorded.
   [[nodiscard]] bool tracing() const { return lanes_.front()->tracing(); }
   /// True when the metrics registry is live.
-  [[nodiscard]] bool metering() const { return lanes_.front()->metering(); }
+  [[nodiscard]] bool metering() const { return cfg_.want_metrics(); }
   /// True when flight attribution is being captured.
   [[nodiscard]] bool attributing() const {
     return lanes_.front()->attributing();
@@ -82,7 +84,7 @@ class NETRS_COORD_GLOBAL ShardObserverSet {
   [[nodiscard]] bool deciding() const { return lanes_.front()->deciding(); }
 
   /// Completions/decisions of requests issued before `t` are excluded
-  /// from records — applied by the deferred merges at harvest.
+  /// from records — applied by the harvest merges.
   void set_measure_from(sim::Time t) { measure_from_ = t; }
 
   /// Names a trace thread on every lane (merge takes the union).
@@ -92,14 +94,16 @@ class NETRS_COORD_GLOBAL ShardObserverSet {
   /// the rings with the configured capacity.
   [[nodiscard]] TraceSnapshot take_trace() const;
 
-  /// The coordinator registry's sampled series.
-  [[nodiscard]] MetricsSnapshot take_metrics() const;
+  /// The registry's sampled series.
+  [[nodiscard]] MetricsSnapshot take_metrics() const {
+    return metrics_.snapshot();
+  }
 
-  /// Canonical join of every lane's deferred flight log (join_flights()).
+  /// Canonical join of every lane's flight log (join_flights()).
   [[nodiscard]] FlightSnapshot take_flight() const;
 
-  /// Canonical replay of every lane's deferred decision log
-  /// (replay_decisions() with the configured herd window).
+  /// Canonical replay of every lane's decision log (replay_decisions()
+  /// with the configured herd window).
   [[nodiscard]] DecisionSnapshot take_decisions() const;
 
   /// Per-ring recorded/dropped counts: one entry per shard lane, plus a
@@ -111,6 +115,7 @@ class NETRS_COORD_GLOBAL ShardObserverSet {
   sim::Time measure_from_ = 0;
   std::vector<std::unique_ptr<Observer>> lanes_;
   std::unique_ptr<Observer> coord_;  // null when lanes() == 1
+  MetricsRegistry metrics_;
 };
 
 }  // namespace netrs::obs

@@ -4,38 +4,19 @@
 #include <cassert>
 #include <cstdio>
 
+#include "obs/metrics.hpp"
+
 namespace netrs::obs {
 namespace {
-
-/// Formats a nanosecond quantity as a microsecond decimal string with an
-/// exact fractional part ("12", "12.5", "12.003"), using integer
-/// arithmetic only so the output is locale- and platform-independent.
-std::string ns_as_us(std::uint64_t ns) {
-  char buf[40];
-  const std::uint64_t us = ns / 1000;
-  const unsigned rem = static_cast<unsigned>(ns % 1000);
-  int len = 0;
-  if (rem == 0) {
-    len = std::snprintf(buf, sizeof(buf), "%llu",
-                        static_cast<unsigned long long>(us));
-  } else {
-    len = std::snprintf(buf, sizeof(buf), "%llu.%03u",
-                        static_cast<unsigned long long>(us), rem);
-    // Trim trailing zeros of the fraction ("12.500" -> "12.5").
-    while (len > 0 && buf[len - 1] == '0') --len;
-  }
-  return std::string(buf, static_cast<std::size_t>(len));
-}
 
 /// Emits one trace event as a JSON object (no trailing comma).
 void write_event(std::ostream& os, const TraceEvent& e, std::size_t pid) {
   os << "{\"name\":\"" << json_escape(e.name != nullptr ? e.name : "?")
      << "\",\"cat\":\"" << json_escape(e.cat != nullptr ? e.cat : "sim")
      << "\",\"ph\":\"" << e.phase << "\",\"pid\":" << pid
-     << ",\"tid\":" << e.tid << ",\"ts\":"
-     << ns_as_us(static_cast<std::uint64_t>(e.ts));
+     << ",\"tid\":" << e.tid << ",\"ts\":" << format_time_us(e.ts);
   if (e.phase == 'X') {
-    os << ",\"dur\":" << ns_as_us(static_cast<std::uint64_t>(e.dur));
+    os << ",\"dur\":" << format_time_us(e.dur);
   }
   if (e.phase == 'i') {
     os << ",\"s\":\"t\"";  // thread-scoped instant

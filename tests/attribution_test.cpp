@@ -1,7 +1,8 @@
 // Flight-recorder and decision-auditor tests (DESIGN.md §8.4/§8.5):
 // hand-built oracle-regret scenarios with exact expected values, the
-// telescoping invariant (components sum to the measured end-to-end
-// latency for every record), determinism with recording on at any --jobs
+// harvest merges over logs split across shards, the telescoping
+// invariant (components sum to the measured end-to-end latency for every
+// record), determinism with recording on at any --jobs
 // value, and the paper's causal claim — in-network selection (NetRS-ILP)
 // decides on fresher information and closer to the oracle than
 // client-side C3.
@@ -18,12 +19,20 @@
 #include "harness/experiment.hpp"
 #include "obs/attribution.hpp"
 #include "obs/decision.hpp"
+#include "obs/shard_obs.hpp"
 
 namespace netrs {
 namespace {
 
 // ---------------------------------------------------------------------------
-// FlightRecorder unit tests: hand-built event sequences with exact sums.
+// FlightRecorder unit tests: hand-built event sequences with exact sums,
+// built through join_flights() — the harvest path every run takes.
+
+// Joins one recorder's log, as the harness harvests a one-shard run.
+obs::FlightSnapshot join(const obs::FlightRecorder& rec,
+                         sim::Time measure_from = 0) {
+  return obs::join_flights({rec.log()}, measure_from);
+}
 
 TEST(FlightRecorderTest, AccelPathTelescopesExactly) {
   obs::FlightRecorder rec(true);
@@ -33,7 +42,7 @@ TEST(FlightRecorderTest, AccelPathTelescopesExactly) {
   rec.on_complete(7, /*first_send=*/1000, /*winner_send=*/1000, /*winner=*/3,
                   /*now=*/7000);
 
-  const obs::FlightSnapshot snap = rec.take();
+  const obs::FlightSnapshot snap = join(rec);
   ASSERT_EQ(snap.records.size(), 1u);
   const obs::FlightRecord& r = snap.records[0];
   EXPECT_EQ(r.request_id, 7u);
@@ -64,7 +73,7 @@ TEST(FlightRecorderTest, DuplicateWinAttributesToWinner) {
   rec.on_complete(9, /*first_send=*/0, /*winner_send=*/500, /*winner=*/2,
                   /*now=*/2000);
 
-  const obs::FlightSnapshot snap = rec.take();
+  const obs::FlightSnapshot snap = join(rec);
   ASSERT_EQ(snap.records.size(), 1u);
   const obs::FlightRecord& r = snap.records[0];
   EXPECT_TRUE(r.dup_won);
@@ -85,10 +94,9 @@ TEST(FlightRecorderTest, DuplicateWinAttributesToWinner) {
 
 TEST(FlightRecorderTest, WarmupCompletionsAreSkipped) {
   obs::FlightRecorder rec(true);
-  rec.set_measure_from(10'000);
   rec.on_server(1, 0, 600, 600, 100);
   rec.on_complete(1, /*first_send=*/500, 500, 0, 900);
-  const obs::FlightSnapshot snap = rec.take();
+  const obs::FlightSnapshot snap = join(rec, /*measure_from=*/10'000);
   EXPECT_TRUE(snap.records.empty());
   EXPECT_EQ(snap.warmup_skipped, 1u);
   EXPECT_EQ(snap.pending_at_end, 0u);
@@ -97,46 +105,112 @@ TEST(FlightRecorderTest, WarmupCompletionsAreSkipped) {
 TEST(FlightRecorderTest, CompletionWithoutServerObservationCountsUnmatched) {
   obs::FlightRecorder rec(true);
   rec.on_complete(5, 0, 0, 4, 1000);
-  const obs::FlightSnapshot snap = rec.take();
+  const obs::FlightSnapshot snap = join(rec);
   EXPECT_TRUE(snap.records.empty());
   EXPECT_EQ(snap.unmatched, 1u);
 }
 
 TEST(FlightRecorderTest, DisabledRecorderIgnoresHooks) {
-  obs::FlightRecorder rec(false);
+  // Attribution off: the set's recorders log nothing and its harvest is
+  // a disabled, empty snapshot.
+  obs::ShardObserverSet set(obs::ObsConfig{}, 1);
+  obs::FlightRecorder& rec = set.lane(0).flight();
   rec.on_server(1, 0, 0, 0, 100);
   rec.on_complete(1, 0, 0, 0, 500);
-  const obs::FlightSnapshot snap = rec.take();
+  EXPECT_TRUE(rec.log().servers.empty());
+  EXPECT_TRUE(rec.log().completes.empty());
+  const obs::FlightSnapshot snap = set.take_flight();
   EXPECT_FALSE(snap.enabled);
   EXPECT_TRUE(snap.records.empty());
   EXPECT_EQ(snap.unmatched, 0u);
 }
 
+// Attribution CSV plus the bookkeeping counts: equal strings mean equal
+// snapshots, byte for byte.
+std::string flight_bytes(const obs::FlightSnapshot& snap) {
+  std::ostringstream os;
+  obs::write_attribution_csv(os, {snap});
+  os << "warmup_skipped=" << snap.warmup_skipped
+     << " unmatched=" << snap.unmatched
+     << " pending_at_end=" << snap.pending_at_end << '\n';
+  return os.str();
+}
+
+TEST(FlightRecorderTest, SplitLogsInReversedOrderJoinLikeOneLog) {
+  // The same observations, once in one log and once split the way shards
+  // split them — client, accelerator, and server on different shards —
+  // with the logs handed to the join in reversed order.
+  obs::FlightRecorder one(true);
+  obs::FlightRecorder client(true);
+  obs::FlightRecorder accel(true);
+  obs::FlightRecorder server(true);
+  const auto on_accel = [&](std::uint64_t id, sim::Time arrival,
+                            sim::Time start, sim::Duration service) {
+    one.on_accel(id, arrival, start, service);
+    accel.on_accel(id, arrival, start, service);
+  };
+  const auto on_server = [&](std::uint64_t id, net::HostId host,
+                             sim::Time arrival, sim::Time start,
+                             sim::Duration service) {
+    one.on_server(id, host, arrival, start, service);
+    server.on_server(id, host, arrival, start, service);
+  };
+  const auto on_complete = [&](std::uint64_t id, sim::Time first_send,
+                               sim::Time winner_send, net::HostId winner,
+                               sim::Time now) {
+    one.on_complete(id, first_send, winner_send, winner, now);
+    client.on_complete(id, first_send, winner_send, winner, now);
+  };
+  // Request 7 crosses an accelerator; request 9's duplicate wins;
+  // request 3 completes during warmup; request 11 never completes.
+  on_accel(7, 1500, 1600, 200);
+  on_server(7, 3, 2400, 2500, 4000);
+  on_server(9, 1, 300, 900, 5000);
+  on_server(9, 2, 800, 850, 1000);
+  on_server(3, 4, 100, 150, 100);
+  on_server(11, 4, 6000, 6100, 100);
+  on_complete(3, 50, 50, 4, 400);
+  on_complete(9, 200, 500, 2, 2000);
+  on_complete(7, 1000, 1000, 3, 7000);
+
+  const obs::FlightSnapshot single = obs::join_flights({one.log()}, 100);
+  const obs::FlightSnapshot split = obs::join_flights(
+      {server.log(), accel.log(), client.log()}, 100);
+  ASSERT_EQ(single.records.size(), 2u);
+  EXPECT_EQ(single.warmup_skipped, 1u);
+  EXPECT_EQ(single.pending_at_end, 1u);
+  EXPECT_EQ(flight_bytes(split), flight_bytes(single));
+}
+
 // ---------------------------------------------------------------------------
 // Decision-auditor unit tests: two servers with known true state, so the
-// oracle regret is exact arithmetic.
+// oracle regret is exact arithmetic. Built through replay_decisions() —
+// the harvest path every run takes.
 
-obs::OracleFn two_server_oracle() {
-  // Server 1: idle, mean 4 ms, Np=1 -> cost 4 ms. Server 2: 4 queued,
-  // mean 4 ms, Np=1 -> cost 4 ms * (1 + 4) = 20 ms.
-  return [](net::HostId h) {
-    obs::OracleServerState s;
-    if (h == 1) {
-      s = {true, 0, 1, sim::millis(4)};
-    } else if (h == 2) {
-      s = {true, 4, 1, sim::millis(4)};
-    }
-    return s;
-  };
+// Journals the two-server oracle at t=0. Server 1: idle, mean 4 ms, Np=1
+// -> cost 4 ms. Server 2: 4 queued, mean 4 ms, Np=1 -> cost
+// 4 ms * (1 + 4) = 20 ms.
+void journal_two_servers(obs::DecisionRecorder& rec) {
+  rec.on_server_state(1, 0, /*queue_size=*/0, /*parallelism=*/1,
+                      sim::millis(4));
+  rec.on_server_state(2, 0, /*queue_size=*/4, /*parallelism=*/1,
+                      sim::millis(4));
+}
+
+// Replays one recorder's log with a 1 ms herd window, as the harness
+// harvests a one-shard run.
+obs::DecisionSnapshot replay(const obs::DecisionRecorder& rec,
+                             sim::Time measure_from = 0) {
+  return obs::replay_decisions({rec.log()}, sim::millis(1), measure_from);
 }
 
 TEST(DecisionRecorderTest, PickingLoadedServerHasExactPositiveRegret) {
-  obs::DecisionRecorder rec(true, sim::millis(1));
-  rec.set_oracle(two_server_oracle());
+  obs::DecisionRecorder rec(true);
+  journal_two_servers(rec);
   const std::vector<net::HostId> cand = {1, 2};
   rec.on_decision(0, /*now=*/0, cand, /*chosen=*/2, {}, {});
 
-  const obs::DecisionSnapshot snap = rec.take();
+  const obs::DecisionSnapshot snap = replay(rec);
   ASSERT_EQ(snap.records.size(), 1u);
   const obs::DecisionRecord& r = snap.records[0];
   ASSERT_TRUE(r.has_regret);
@@ -147,12 +221,12 @@ TEST(DecisionRecorderTest, PickingLoadedServerHasExactPositiveRegret) {
 }
 
 TEST(DecisionRecorderTest, PickingIdleServerHasZeroRegret) {
-  obs::DecisionRecorder rec(true, sim::millis(1));
-  rec.set_oracle(two_server_oracle());
+  obs::DecisionRecorder rec(true);
+  journal_two_servers(rec);
   const std::vector<net::HostId> cand = {1, 2};
   rec.on_decision(0, 0, cand, /*chosen=*/1, {}, {});
 
-  const obs::DecisionSnapshot snap = rec.take();
+  const obs::DecisionSnapshot snap = replay(rec);
   ASSERT_EQ(snap.records.size(), 1u);
   ASSERT_TRUE(snap.records[0].has_regret);
   EXPECT_DOUBLE_EQ(snap.records[0].regret_ns, 0.0);
@@ -165,7 +239,7 @@ TEST(DecisionRecorderTest, ParallelismDividesQueueInOracleCost) {
 }
 
 TEST(DecisionRecorderTest, StalenessComesFromChosenServersFeedbackAge) {
-  obs::DecisionRecorder rec(true, sim::millis(1));
+  obs::DecisionRecorder rec(true);
   const std::vector<net::HostId> cand = {1, 2};
   // Delayed feedback: the chosen server (1) was last heard 250 us ago;
   // server 2 was never heard from (age < 0).
@@ -174,7 +248,7 @@ TEST(DecisionRecorderTest, StalenessComesFromChosenServersFeedbackAge) {
   rec.on_decision(0, sim::millis(2), cand, /*chosen=*/1, scores, ages);
   rec.on_decision(0, sim::millis(2), cand, /*chosen=*/2, scores, ages);
 
-  const obs::DecisionSnapshot snap = rec.take();
+  const obs::DecisionSnapshot snap = replay(rec);
   ASSERT_EQ(snap.records.size(), 2u);
   ASSERT_TRUE(snap.records[0].has_staleness);
   EXPECT_EQ(snap.records[0].staleness, sim::micros(250));
@@ -187,7 +261,7 @@ TEST(DecisionRecorderTest, StalenessComesFromChosenServersFeedbackAge) {
 }
 
 TEST(DecisionRecorderTest, HerdIndexTracksTrailingWindow) {
-  obs::DecisionRecorder rec(true, sim::millis(1));
+  obs::DecisionRecorder rec(true);
   const std::vector<net::HostId> cand = {1, 2};
   rec.on_decision(0, sim::micros(0), cand, 1, {}, {});
   rec.on_decision(0, sim::micros(100), cand, 1, {}, {});
@@ -195,7 +269,7 @@ TEST(DecisionRecorderTest, HerdIndexTracksTrailingWindow) {
   // 1.5 ms: everything up to 0.5 ms has left the 1 ms window.
   rec.on_decision(0, sim::micros(1500), cand, 2, {}, {});
 
-  const obs::DecisionSnapshot snap = rec.take();
+  const obs::DecisionSnapshot snap = replay(rec);
   ASSERT_EQ(snap.records.size(), 4u);
   EXPECT_DOUBLE_EQ(snap.records[0].herd, 1.0);        // {1}
   EXPECT_DOUBLE_EQ(snap.records[1].herd, 1.0);        // {1, 1}
@@ -204,18 +278,71 @@ TEST(DecisionRecorderTest, HerdIndexTracksTrailingWindow) {
 }
 
 TEST(DecisionRecorderTest, WarmupDecisionsFeedHerdStateButProduceNoRecords) {
-  obs::DecisionRecorder rec(true, sim::millis(1));
-  rec.set_measure_from(sim::micros(150));
+  obs::DecisionRecorder rec(true);
   const std::vector<net::HostId> cand = {1, 2};
   rec.on_decision(0, sim::micros(0), cand, 1, {}, {});    // warmup
   rec.on_decision(0, sim::micros(100), cand, 1, {}, {});  // warmup
   rec.on_decision(0, sim::micros(200), cand, 1, {}, {});  // measured
 
-  const obs::DecisionSnapshot snap = rec.take();
+  const obs::DecisionSnapshot snap = replay(rec, sim::micros(150));
   EXPECT_EQ(snap.observed, 3u);
   ASSERT_EQ(snap.records.size(), 1u);
   // The measured record sees the warmed window: 3 of 3 picks match.
   EXPECT_DOUBLE_EQ(snap.records[0].herd, 1.0);
+}
+
+TEST(DecisionRecorderTest, SplitLogsInReversedOrderReplayLikeOneLog) {
+  // Two deciding nodes and two journaled servers, once in one log and
+  // once split the way shards split them — each node's picks and each
+  // server's journal on its own log — with the logs handed to the replay
+  // in reversed order.
+  obs::DecisionRecorder one(true);
+  obs::DecisionRecorder node_a(true);
+  obs::DecisionRecorder node_b(true);
+  obs::DecisionRecorder server_1(true);
+  obs::DecisionRecorder server_2(true);
+  const std::vector<net::HostId> cand = {1, 2};
+  const std::vector<double> scores = {1.0, 2.0};
+  const std::vector<sim::Duration> ages = {sim::micros(40), -1};
+  const auto decide = [&](obs::DecisionRecorder& node_log, std::int32_t node,
+                          sim::Time t, net::HostId chosen) {
+    one.on_decision(node, t, cand, chosen, scores, ages);
+    node_log.on_decision(node, t, cand, chosen, scores, ages);
+  };
+  const auto journal = [&](obs::DecisionRecorder& server_log,
+                           net::HostId host, sim::Time t,
+                           std::uint32_t queue) {
+    one.on_server_state(host, t, queue, 1, sim::millis(4));
+    server_log.on_server_state(host, t, queue, 1, sim::millis(4));
+  };
+  journal(server_1, 1, 0, 0);
+  journal(server_2, 2, 0, 0);
+  decide(node_a, 10, sim::micros(50), 1);  // warmup
+  journal(server_1, 1, sim::micros(60), 3);
+  // Same-time picks on both nodes: the replay orders them by node.
+  decide(node_b, 20, sim::micros(200), 2);
+  decide(node_a, 10, sim::micros(200), 1);
+  decide(node_a, 10, sim::micros(200), 2);
+  journal(server_2, 2, sim::micros(300), 5);
+  decide(node_b, 20, sim::micros(400), 1);
+  decide(node_a, 10, sim::micros(1500), 1);
+
+  const auto bytes = [](const obs::DecisionSnapshot& snap) {
+    std::ostringstream os;
+    obs::write_decision_csv(os, {snap});
+    os << "observed=" << snap.observed << '\n';
+    return os.str();
+  };
+  const sim::Time measure_from = sim::micros(100);
+  const obs::DecisionSnapshot single =
+      obs::replay_decisions({one.log()}, sim::millis(1), measure_from);
+  const obs::DecisionSnapshot split = obs::replay_decisions(
+      {server_2.log(), server_1.log(), node_b.log(), node_a.log()},
+      sim::millis(1), measure_from);
+  ASSERT_EQ(single.records.size(), 5u);
+  EXPECT_EQ(single.records[0].node, 10);  // node order breaks the time tie
+  EXPECT_TRUE(single.records[0].has_regret);
+  EXPECT_EQ(bytes(split), bytes(single));
 }
 
 // ---------------------------------------------------------------------------

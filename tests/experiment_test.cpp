@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 namespace netrs::harness {
 namespace {
 
@@ -129,6 +133,53 @@ TEST(ExperimentTest, UtilizationScalesAggregateRate) {
   EXPECT_NEAR(sim::to_seconds(cfg.mean_service_time) * high /
                   (cfg.num_servers * cfg.server_parallelism),
               0.9, 1e-9);
+}
+
+TEST(ExperimentTest, MalformedConfigThrowsNamingTheField) {
+  // Accepted, each of these would hang the run (infinite arrival rate),
+  // build an odd-arity "fat tree", or cast inf to an integer duration in
+  // a Release build (where asserts are off).
+  struct Case {
+    const char* field;
+    void (*mutate)(ExperimentConfig&);
+  };
+  const Case cases[] = {
+      {"fat_tree_k", [](ExperimentConfig& c) { c.fat_tree_k = 3; }},
+      {"fat_tree_k", [](ExperimentConfig& c) { c.fat_tree_k = 0; }},
+      {"mean_service_time",
+       [](ExperimentConfig& c) { c.mean_service_time = 0; }},
+      {"mean_service_time",
+       [](ExperimentConfig& c) { c.mean_service_time = -1; }},
+      {"utilization", [](ExperimentConfig& c) { c.utilization = 0.0; }},
+      {"utilization", [](ExperimentConfig& c) { c.utilization = -0.5; }},
+      {"utilization",
+       [](ExperimentConfig& c) {
+         c.utilization = std::numeric_limits<double>::infinity();
+       }},
+      {"utilization",
+       [](ExperimentConfig& c) {
+         c.utilization = std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"server_parallelism",
+       [](ExperimentConfig& c) { c.server_parallelism = 0; }},
+      // k=4 has 16 hosts; 5 servers + 12 clients do not fit.
+      {"num_servers + num_clients",
+       [](ExperimentConfig& c) { c.num_clients = 12; }},
+  };
+  for (const Case& c : cases) {
+    ExperimentConfig cfg = small_config();
+    cfg.total_requests = 200;
+    c.mutate(cfg);
+    try {
+      (void)run_experiment(Scheme::kCliRS, cfg);
+      FAIL() << "accepted a malformed " << c.field;
+    } catch (const std::invalid_argument& e) {
+      // ASSERT, not EXPECT: a case caught by the wrong check means a check
+      // is missing, and a missing check can hang a later case.
+      ASSERT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ExperimentTest, AlternativeSelectorAlgorithmsRun) {

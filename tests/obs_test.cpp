@@ -1,6 +1,6 @@
 // Unit tests for the observability layer (src/obs): trace-ring
-// wraparound semantics, Chrome-JSON escaping and formatting, histogram
-// bucket-edge behavior, and the metrics registry's registration-ordered
+// wraparound semantics, Chrome-JSON escaping and formatting, sharded
+// histogram bucket-edge behavior and lane folding, and the metrics registry's registration-ordered
 // column layout plus its summary merge.
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/observer.hpp"
+#include "obs/shard_obs.hpp"
 #include "obs/trace.hpp"
 
 namespace netrs::obs {
@@ -124,14 +125,16 @@ TEST(ChromeTraceTest, EmitsSpansInstantsAndMetadata) {
 }
 
 TEST(HistogramTest, ValueOnBoundaryLandsInThatBucket) {
-  Histogram h({1.0, 2.0, 4.0});
+  // Bounds in ms, observations in ns, spread over two lanes; the read
+  // side folds the lanes.
+  ShardedHistogram h({1.0, 2.0, 4.0}, 2);
   ASSERT_EQ(h.bucket_count(), 4u);  // 3 bounds + overflow
-  h.add(1.0);   // == first bound -> bucket 0
-  h.add(1.5);   // bucket 1 (le 2)
-  h.add(2.0);   // == second bound -> bucket 1
-  h.add(4.0);   // == last bound -> bucket 2
-  h.add(4.001); // overflow
-  h.add(100.0); // overflow
+  h.add(0, 1'000'000);    // == first bound -> bucket 0
+  h.add(1, 1'500'000);    // bucket 1 (le 2)
+  h.add(0, 2'000'000);    // == second bound -> bucket 1
+  h.add(1, 4'000'000);    // == last bound -> bucket 2
+  h.add(0, 4'001'000);    // overflow
+  h.add(1, 100'000'000);  // overflow
   EXPECT_EQ(h.bucket(0), 1u);
   EXPECT_EQ(h.bucket(1), 2u);
   EXPECT_EQ(h.bucket(2), 1u);
@@ -141,9 +144,9 @@ TEST(HistogramTest, ValueOnBoundaryLandsInThatBucket) {
 }
 
 TEST(HistogramTest, ValueBelowFirstBoundLandsInFirstBucket) {
-  Histogram h({10.0, 20.0});
-  h.add(0.0);
-  h.add(-5.0);
+  ShardedHistogram h({10.0, 20.0}, 2);
+  h.add(0, 0);
+  h.add(1, 1);
   EXPECT_EQ(h.bucket(0), 2u);
   EXPECT_EQ(h.bucket(1), 0u);
   EXPECT_EQ(h.bucket(2), 0u);
@@ -159,16 +162,17 @@ TEST(FormatMetricValueTest, IntegersExactOthersNineSigFigs) {
 
 TEST(MetricsRegistryTest, ColumnsFollowRegistrationOrder) {
   MetricsRegistry reg;
-  std::uint64_t* c = reg.counter("reqs");
+  double reqs = 0.0;
+  reg.gauge("reqs", [&reqs] { return reqs; });
   reg.gauge("depth", [] { return 3.0; });
-  Histogram* h = reg.histogram("lat", {1.0, 2.0});
+  ShardedHistogram* h = reg.sharded_histogram("lat", {1.0, 2.0}, 2);
   EXPECT_EQ(reg.metric_count(), 3u);
 
-  *c = 5;
-  h->add(0.5);
-  h->add(9.0);
+  reqs = 5;
+  h->add(0, 500'000);    // 0.5 ms
+  h->add(1, 9'000'000);  // 9 ms
   reg.sample(1000);
-  *c = 8;
+  reqs = 8;
   reg.sample(2000);
 
   const MetricsSnapshot snap = reg.snapshot();
@@ -230,7 +234,7 @@ TEST(ObserverTest, TracingOffMakesSpanRecordingFree) {
   cfg.metrics_path = "unused.csv";  // metrics on, tracing off
   Observer obs(cfg);
   EXPECT_FALSE(obs.tracing());
-  EXPECT_TRUE(obs.metering());
+  EXPECT_TRUE(ShardObserverSet(cfg, 1).metering());
   // Safe no-op even with tracing disabled (metrics-only runs still call
   // through the same instrumentation sites).
   obs.span("x", "t", 1, 0, 10);
