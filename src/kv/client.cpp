@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <utility>
+#include <vector>
 
 #include "netrs/packet_format.hpp"
 #include "obs/observer.hpp"
@@ -96,7 +97,8 @@ void Client::send_copy(std::uint64_t req_id, Pending& p, net::HostId target,
   pkt.meta.client_send_time = simulator().now();
   pkt.meta.redundant = redundant;
 
-  p.sends.emplace_back(target, simulator().now());
+  assert(p.copies < kMaxCopies);
+  p.copy[p.copies++] = Copy{target, simulator().now()};
   if (obs::Observer* o = simulator().observer()) {
     o->instant(redundant ? "cli.send.dup" : "cli.send", "cli",
                static_cast<std::int32_t>(node_id()), simulator().now(),
@@ -119,9 +121,8 @@ void Client::maybe_send_redundant(std::uint64_t req_id) {
   std::vector<net::HostId> remaining;
   remaining.reserve(candidates.size());
   for (net::HostId h : candidates) {
-    const bool used = std::any_of(
-        p.sends.begin(), p.sends.end(),
-        [h](const auto& s) { return s.first == h; });
+    const bool used = std::any_of(p.sends().begin(), p.sends().end(),
+                                  [h](const Copy& c) { return c.server == h; });
     if (!used) remaining.push_back(h);
   }
   if (remaining.empty()) return;
@@ -134,11 +135,11 @@ void Client::maybe_send_redundant(std::uint64_t req_id) {
 }
 
 void Client::send_cancels(std::uint64_t req_id, const Pending& p) {
-  for (const auto& [server, sent_at] : p.sends) {
-    (void)sent_at;
+  for (const Copy& c : p.sends()) {
+    const net::HostId server = c.server;
     const bool answered =
-        std::find(p.responders.begin(), p.responders.end(), server) !=
-        p.responders.end();
+        std::find(p.responders().begin(), p.responders().end(), server) !=
+        p.responders().end();
     if (answered) continue;
 
     core::RequestHeader rh;
@@ -188,15 +189,16 @@ void Client::handle_response(net::Packet& pkt) {
   auto it = pending_.find(app->client_request_id);
   if (it == pending_.end()) return;  // stray / already fully settled
   Pending& p = it->second;
-  ++p.responses;
-
+  // The entry is erased once every copy has answered, so a response that
+  // reaches it always has a free responder slot.
+  assert(p.responses < p.copies);
   const net::HostId server = pkt.src;
-  p.responders.push_back(server);
+  p.responder[p.responses++] = server;
   // Per-copy response time for selector feedback.
   sim::Time sent_at = p.first_send;
-  for (const auto& [h, t] : p.sends) {
-    if (h == server) {
-      sent_at = t;
+  for (const Copy& c : p.sends()) {
+    if (c.server == server) {
+      sent_at = c.sent_at;
       break;
     }
   }
@@ -214,7 +216,7 @@ void Client::handle_response(net::Packet& pkt) {
     p.completed = true;
     ++completed_;
     if (cfg_.redundancy.cancel_on_completion &&
-        p.responses < p.sends.size()) {
+        p.responses < p.copies) {
       send_cancels(app->client_request_id, p);
     }
     const sim::Duration latency = simulator().now() - p.first_send;
@@ -237,7 +239,7 @@ void Client::handle_response(net::Packet& pkt) {
       on_complete_(c);
     }
   }
-  if (p.responses >= p.sends.size()) pending_.erase(it);
+  if (p.responses >= p.copies) pending_.erase(it);
 }
 
 }  // namespace netrs::kv

@@ -15,11 +15,12 @@
 //     Selection target required by §III-C); the ToR assigns the RSNode.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
-#include <vector>
 
 #include "kv/app_message.hpp"
 #include "kv/consistent_hash.hpp"
@@ -117,15 +118,36 @@ class NETRS_SHARD_LOCAL Client final : public net::Host {
   [[nodiscard]] double p95_estimate_us() const { return p95_.estimate(); }
 
  private:
+  /// Copies of one request on the wire: the primary plus at most one
+  /// CliRS-R95 duplicate (`Pending::redundant_sent` gates the second).
+  static constexpr std::size_t kMaxCopies = 2;
+
+  /// One copy of a request: the server it went to and when.
+  struct Copy {
+    net::HostId server = net::kInvalidHost;
+    sim::Time sent_at = 0;
+  };
+
+  /// An outstanding request. Its copies and responders live inline, so
+  /// the map node is the request's only heap allocation.
   struct Pending {
     std::uint64_t key = 0;
     sim::Time first_send = 0;
-    // (server, send time) per copy; size > 1 only with redundancy.
-    std::vector<std::pair<net::HostId, sim::Time>> sends;
-    std::vector<net::HostId> responders;
-    std::uint32_t responses = 0;
+    std::array<Copy, kMaxCopies> copy{};
+    std::array<net::HostId, kMaxCopies> responder{};
+    std::uint8_t copies = 0;     ///< Entries of `copy` in use.
+    std::uint8_t responses = 0;  ///< Entries of `responder` in use.
     bool completed = false;
     bool redundant_sent = false;
+
+    /// The copies sent so far, in send order.
+    [[nodiscard]] std::span<const Copy> sends() const {
+      return std::span(copy).first(copies);
+    }
+    /// The servers that have answered so far, in arrival order.
+    [[nodiscard]] std::span<const net::HostId> responders() const {
+      return std::span(responder).first(responses);
+    }
   };
 
   void schedule_next_arrival();

@@ -202,7 +202,7 @@ std::uint32_t Fabric::acquire_slot(ShardState& st) {
   return slot;
 }
 
-void Fabric::send_local(int shard, NodeId from, NodeId to, Packet pkt) {
+void Fabric::send_local(int shard, NodeId from, NodeId to, Packet&& pkt) {
   Node* dst = node(to);
   assert(dst != nullptr && "destination NodeId has no attached object");
   ShardState& st = state_[shard];
@@ -229,7 +229,7 @@ void Fabric::send_local(int shard, NodeId from, NodeId to, Packet pkt) {
   sim.after(lat, [this, shard, slot] { deliver(shard, slot); });
 }
 
-void Fabric::send(NodeId from, NodeId to, Packet pkt) {
+void Fabric::send(NodeId from, NodeId to, Packet&& pkt) {
   // Cabling validation lives inside the assert so release builds pay
   // nothing (the old code evaluated two map lookups unconditionally).
   assert(valid_link(from, to));
@@ -335,7 +335,7 @@ void Fabric::drain_shard(int dst, sim::Time safe) {
   }
 }
 
-void Fabric::park_cross(int dst, CrossEntry entry) {
+void Fabric::park_cross(int dst, CrossEntry&& entry) {
   ShardState& st = state_[dst];
   sim::Simulator& sim = *sims_[std::size_t(dst)];
   Node* dst_node = node(entry.to);
@@ -359,15 +359,15 @@ void Fabric::deliver(int shard, std::uint32_t slot) {
   ShardState& st = state_[shard];
   sim::Simulator& sim = *sims_[std::size_t(shard)];
   Delivery& d = st.deliveries[slot];
-  Packet pkt = std::move(d.pkt);
-  Node* const dst = d.dst;
-  const NodeId from = d.from;
   sim.auditor().on_packet_delivered();
   st.ledger.on_release(sim.auditor(), slot);
   // Recycle before receive(): anything the receiver sends can reuse the
-  // slot immediately, keeping the pool at its high-water mark.
+  // slot immediately, keeping the pool at its high-water mark. The packet
+  // moves from the slot straight into receive()'s parameter, which is
+  // built before the receiver runs, so neither a reused slot nor a pool
+  // reallocation can touch the packet being handled.
   st.free_deliveries.push_back(slot);
-  dst->receive(std::move(pkt), from);
+  d.dst->receive(std::move(d.pkt), d.from);
 }
 
 void Fabric::set_link_state(NodeId a, NodeId b, bool up) {

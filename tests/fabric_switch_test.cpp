@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -125,6 +127,97 @@ TEST(FabricTest, FlowHashStableAndPortSensitive) {
   EXPECT_EQ(Fabric::flow_hash(a), Fabric::flow_hash(b));
   b.src_port = 11;
   EXPECT_NE(Fabric::flow_hash(a), Fabric::flow_hash(b));
+}
+
+// A host that, on the first packet it receives, sends `burst` packets
+// before it looks at that packet. The burst parks `burst` packets in the
+// delivery pool at once, growing it (and reallocating its slot vector)
+// from the slot the packet being handled was delivered from.
+class BurstingHost final : public Host {
+ public:
+  BurstingHost(Fabric& fabric, HostId id, HostId peer, std::size_t burst)
+      : Host(fabric, id), peer_(peer), burst_(burst) {}
+
+  void receive(Packet pkt, NodeId from) override {
+    (void)from;
+    if (handled.empty()) {
+      for (std::size_t i = 0; i < burst_; ++i) {
+        Packet out;
+        out.dst = peer_;
+        out.src_port = 1;
+        out.dst_port = 2;
+        out.payload.assign(pkt.payload.size(), std::byte{0xEE});
+        out.meta.request_id = ~std::uint64_t{0};
+        send(std::move(out));
+      }
+      in_flight_after_burst = fabric().deliveries_in_flight();
+    }
+    handled.push_back(pkt);
+  }
+
+  std::vector<Packet> handled;
+  std::size_t in_flight_after_burst = 0;
+
+ private:
+  HostId peer_;
+  std::size_t burst_;
+};
+
+TEST(FabricTest, ReceiverSeesIntactPacketAfterPoolGrowth) {
+  constexpr std::size_t kBurst = 64;
+  // 30 B stays inline; 100 B spills to the payload's heap block.
+  for (const std::size_t len : {std::size_t{30}, std::size_t{100}}) {
+    SCOPED_TRACE(len);
+    sim::Simulator sim;
+    const FatTree topo(4);
+    Fabric fabric(sim, topo, FabricConfig{});
+    std::vector<std::unique_ptr<Switch>> switches;
+    for (NodeId sw = 0; sw < topo.switch_count(); ++sw) {
+      switches.push_back(std::make_unique<Switch>(fabric, sw));
+      fabric.attach(sw, switches.back().get());
+    }
+    const HostId src = topo.host_id(0, 0, 0);
+    const HostId dst = topo.host_id(3, 1, 1);
+    SinkHost sender(fabric, src);
+    BurstingHost receiver(fabric, dst, src, kBurst);
+
+    Packet pkt;
+    pkt.dst = dst;
+    pkt.src_port = 4242;
+    pkt.dst_port = 7000;
+    pkt.phantom_payload = 1000;
+    pkt.payload.resize(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      pkt.payload[i] = std::byte(i * 7 + 3);
+    }
+    pkt.meta.request_id = 0x1234'5678'9ABC'DEF0ULL;
+    pkt.meta.client_send_time = 17;
+    pkt.meta.redundant = true;
+    sender.transmit(std::move(pkt));
+    sim.run();
+
+    // The burst was parked while the packet was being handled: the pool
+    // held kBurst packets at once, so it grew from its one-slot
+    // high-water mark.
+    EXPECT_EQ(receiver.in_flight_after_burst, kBurst);
+    EXPECT_EQ(sender.received.size(), kBurst);
+    ASSERT_EQ(receiver.handled.size(), 1u);
+    const Packet& got = receiver.handled[0];
+    EXPECT_EQ(got.src, src);
+    EXPECT_EQ(got.dst, dst);
+    EXPECT_EQ(got.src_port, 4242);
+    EXPECT_EQ(got.dst_port, 7000);
+    EXPECT_EQ(got.phantom_payload, 1000u);
+    EXPECT_EQ(got.meta.request_id, 0x1234'5678'9ABC'DEF0ULL);
+    EXPECT_EQ(got.meta.client_send_time, 17);
+    EXPECT_EQ(got.meta.forwards, 5u);
+    EXPECT_TRUE(got.meta.redundant);
+    EXPECT_EQ(got.payload.is_inline(), len <= PayloadBuffer::kInlineCapacity);
+    ASSERT_EQ(got.payload.size(), len);
+    for (std::size_t i = 0; i < len; ++i) {
+      EXPECT_EQ(got.payload[i], std::byte(i * 7 + 3)) << "byte " << i;
+    }
+  }
 }
 
 // Ingress stage behaviors: rewrite + steer + consume.
