@@ -18,7 +18,8 @@ Client::Client(net::Fabric& fabric, net::HostId id, ClientConfig cfg,
       ring_(ring),
       zipf_(zipf),
       rng_(rng),
-      p95_(cfg.redundancy.quantile) {
+      p95_(cfg.redundancy.quantile),
+      arrival_(simulator().bind(&Client::on_arrival, this)) {
   if (cfg_.mode == ClientMode::kClientSelect) {
     selector_ =
         rs::make_selector(cfg_.selector, simulator(), rng_.child("selector"));
@@ -36,11 +37,14 @@ void Client::schedule_next_arrival() {
   const double mean_gap_s = 1.0 / cfg_.arrival_rate;
   const auto gap =
       static_cast<sim::Duration>(rng_.exponential(mean_gap_s * 1e9));
-  simulator().after(gap, [this] {
-    if (!running_) return;
-    issue_request();
-    schedule_next_arrival();
-  });
+  simulator().after(gap, arrival_, 0);
+}
+
+void Client::on_arrival(void* client, std::uint32_t /*unused*/) {
+  auto* self = static_cast<Client*>(client);
+  if (!self->running_) return;
+  self->issue_request();
+  self->schedule_next_arrival();
 }
 
 void Client::issue_request() {

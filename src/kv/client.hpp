@@ -151,6 +151,8 @@ class NETRS_SHARD_LOCAL Client final : public net::Host {
   };
 
   void schedule_next_arrival();
+  // The next-arrival event: a typed entry bound to this client.
+  static void on_arrival(void* client, std::uint32_t unused);
   void issue_request();
   void send_copy(std::uint64_t req_id, Pending& p, net::HostId target,
                  core::ReplicaGroupId rgid, bool redundant);
@@ -167,6 +169,7 @@ class NETRS_SHARD_LOCAL Client final : public net::Host {
 
   std::unordered_map<std::uint64_t, Pending> pending_;
   sim::P2Quantile p95_;
+  sim::HandlerId arrival_;  // on_arrival, bound on this host's simulator
   bool running_ = false;
   std::uint64_t next_seq_ = 1;
   std::uint64_t issued_ = 0;

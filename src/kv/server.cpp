@@ -101,16 +101,17 @@ void Server::handle_cancel(const net::Packet& cancel, const AppRequest& app) {
   // Cross-server cancellation: remove the matching *queued* copy (an
   // in-service request cannot be recalled) and settle it immediately with
   // an empty response so the issuing client's bookkeeping completes.
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (it->pkt.src != cancel.src) continue;
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    net::Packet& queued = queue_[i].pkt;
+    if (queued.src != cancel.src) continue;
     const auto queued_app =
-        decode_app_request(core::request_app_payload(it->pkt.payload));
+        decode_app_request(core::request_app_payload(queued.payload));
     if (!queued_app.has_value() ||
         queued_app->client_request_id != app.client_request_id) {
       continue;
     }
-    net::Packet victim = std::move(it->pkt);
-    queue_.erase(it);
+    net::Packet victim = std::move(queued);
+    queue_.erase(i);
     station_ledger_.on_remove(simulator().auditor(), queue_.size());
     simulator().auditor().on_packet_dropped("server-cancel");
     ++cancelled_;
@@ -203,8 +204,7 @@ void Server::finish_service(std::size_t slot, sim::Duration service_time) {
   send_response(pkt, cfg_.value_bytes);
 
   if (!queue_.empty()) {
-    Queued next = std::move(queue_.front());
-    queue_.pop_front();
+    Queued next = queue_.take_front();
     station_ledger_.on_dequeue(simulator().auditor(), queue_.size());
     start_service(std::move(next.pkt), next.enqueued);
   } else {

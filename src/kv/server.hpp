@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "kv/app_message.hpp"
@@ -21,6 +20,7 @@
 #include "sim/affinity.hpp"
 #include "sim/audit.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/ring_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
 
@@ -117,7 +117,7 @@ class NETRS_SHARD_LOCAL Server final : public net::Host {
   ServerConfig cfg_;
   sim::Rng rng_;
   sim::Duration current_mean_;
-  std::deque<Queued> queue_;
+  sim::RingQueue<Queued> queue_;
   // In-service requests parked per parallelism slot (valid iff
   // slot_busy_), so the completion event captures {this, slot, service}
   // and stays inline in the scheduled Task — no per-request allocation.

@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "net/switch.hpp"
 #include "obs/metrics.hpp"
 
 namespace netrs::net {
@@ -49,8 +50,17 @@ void Fabric::init_serial(sim::Simulator& simulator) {
   global_sim_ = &simulator;
   node_shard_.assign(topo_.node_count(), 0);
   state_ = std::make_unique<ShardState[]>(1);
-  state_[0].ledger.set_name("fabric-delivery");
+  init_shard(0);
   nodes_.resize(topo_.node_count(), nullptr);
+  switches_.resize(topo_.node_count(), nullptr);
+}
+
+void Fabric::init_shard(int s) {
+  ShardState& st = state_[s];
+  st.fabric = this;
+  st.shard = s;
+  st.on_deliver = sims_[std::size_t(s)]->bind(&Fabric::deliver_entry, &st);
+  st.ledger.set_name("fabric-delivery");
 }
 
 void Fabric::init_sharded(sim::ShardGroup& group) {
@@ -89,9 +99,7 @@ void Fabric::init_sharded(sim::ShardGroup& group) {
   for (int s = 0; s < shards; ++s) sims_.push_back(&group.shard_sim(s));
   global_sim_ = &group.global_sim();
   state_ = std::make_unique<ShardState[]>(std::size_t(shards));
-  for (int s = 0; s < shards; ++s) {
-    state_[s].ledger.set_name("fabric-delivery");
-  }
+  for (int s = 0; s < shards; ++s) init_shard(s);
   lanes_ = std::make_unique<Lane[]>(std::size_t(shards) * std::size_t(shards));
 
   // Ownership map: pod p (ToRs, aggs, hosts) on shard p mod S; core group g
@@ -112,6 +120,7 @@ void Fabric::init_sharded(sim::ShardGroup& group) {
     node_shard_[n] = shard;
   }
   nodes_.resize(topo_.node_count(), nullptr);
+  switches_.resize(topo_.node_count(), nullptr);
   group.set_drain_hook(
       [this](int shard, sim::Time safe) { drain_shard(shard, safe); });
 }
@@ -121,6 +130,7 @@ void Fabric::attach(NodeId id, Node* node) {
   assert(nodes_[id] == nullptr && "NodeId already attached");
   assert(node != nullptr);
   nodes_[id] = node;
+  switches_[id] = dynamic_cast<Switch*>(node);
   // Record the owner shard on the node's affinity sentinel (audit builds;
   // group_ is null in serial mode, leaving the guard inert).
   const int shard = shard_of(id);
@@ -168,21 +178,6 @@ void Fabric::audit_simulator_for(NodeId id) {
           "event queue (cache your own shard's simulator instead)");
 }
 
-Node* Fabric::node(NodeId id) const {
-  if (id < nodes_.size()) return nodes_[id];
-  const std::size_t aux = id - nodes_.size();
-  assert(aux < aux_nodes_.size());
-  return aux_nodes_[aux];
-}
-
-sim::Duration Fabric::link_latency(NodeId a, NodeId b) const {
-  const bool a_aux = a >= topo_.node_count();
-  const bool b_aux = b >= topo_.node_count();
-  if (a_aux || b_aux) return cfg_.accelerator_link_latency;
-  if (topo_.is_host(a) || topo_.is_host(b)) return cfg_.host_link_latency;
-  return cfg_.switch_link_latency;
-}
-
 bool Fabric::valid_link(NodeId from, NodeId to) const {
   auto it = aux_link_.find(to);
   if (it != aux_link_.end() && it->second == from) return true;
@@ -197,28 +192,31 @@ std::uint32_t Fabric::acquire_slot(ShardState& st) {
     st.free_deliveries.pop_back();
     return slot;
   }
-  const std::uint32_t slot = static_cast<std::uint32_t>(st.deliveries.size());
-  st.deliveries.emplace_back();
-  return slot;
+  if (st.slots == st.chunks.size() * kChunkSlots) {
+    st.chunks.push_back(std::make_unique<Delivery[]>(kChunkSlots));
+  }
+  return st.slots++;
 }
 
 void Fabric::send_local(int shard, NodeId from, NodeId to, Packet&& pkt) {
-  Node* dst = node(to);
-  assert(dst != nullptr && "destination NodeId has no attached object");
+  ShardState& st = state_[shard];
+  const std::uint32_t slot = acquire_slot(st);
+  st.delivery(slot).pkt = std::move(pkt);
+  park(shard, slot, from, to);
+}
+
+void Fabric::park(int shard, std::uint32_t slot, NodeId from, NodeId to) {
   ShardState& st = state_[shard];
   sim::Simulator& sim = *sims_[std::size_t(shard)];
-  ++st.packets_sent;
-  st.bytes_sent += pkt.wire_size();
-  const sim::Duration lat = link_latency(from, to);
-
-  // Park the packet in the pool; the event captures {this, shard, slot}
-  // only, so it stays within the Task's inline buffer. The pool grows to
-  // the high-water mark of concurrently in-flight packets and is reused.
-  const std::uint32_t slot = acquire_slot(st);
-  Delivery& d = st.deliveries[slot];
-  d.pkt = std::move(pkt);
-  d.dst = dst;
+  Delivery& d = st.delivery(slot);
+  d.dst = node(to);
+  assert(d.dst != nullptr && "destination NodeId has no attached object");
+  d.sw = switch_at(to);
   d.from = from;
+  ++st.packets_sent;
+  st.bytes_sent += d.pkt.wire_size();
+  // The pool grows to the high-water mark of concurrently in-flight
+  // packets and is reused; the delivery entry carries only the slot.
   sim.auditor().on_packet_injected();
   st.ledger.on_park(sim.auditor(), slot, [&] {
     return "packet src=" + std::to_string(d.pkt.src) +
@@ -226,7 +224,7 @@ void Fabric::send_local(int shard, NodeId from, NodeId to, Packet&& pkt) {
            std::to_string(from) + "->" + std::to_string(to) +
            " sent at t=" + std::to_string(sim.now()) + " ns";
   });
-  sim.after(lat, [this, shard, slot] { deliver(shard, slot); });
+  sim.after(link_latency(from, to), st.on_deliver, slot);
 }
 
 void Fabric::send(NodeId from, NodeId to, Packet&& pkt) {
@@ -338,11 +336,11 @@ void Fabric::drain_shard(int dst, sim::Time safe) {
 void Fabric::park_cross(int dst, CrossEntry&& entry) {
   ShardState& st = state_[dst];
   sim::Simulator& sim = *sims_[std::size_t(dst)];
-  Node* dst_node = node(entry.to);
   const std::uint32_t slot = acquire_slot(st);
-  Delivery& d = st.deliveries[slot];
+  Delivery& d = st.delivery(slot);
   d.pkt = std::move(entry.pkt);
-  d.dst = dst_node;
+  d.dst = node(entry.to);
+  d.sw = switch_at(entry.to);
   d.from = entry.from;
   st.ledger.on_park(sim.auditor(), slot, [&] {
     return "packet src=" + std::to_string(d.pkt.src) +
@@ -352,22 +350,44 @@ void Fabric::park_cross(int dst, CrossEntry&& entry) {
            ", arrives t=" + std::to_string(entry.arrive) + " ns";
   });
   st.cross_pending.fetch_sub(1, std::memory_order_relaxed);
-  sim.at(entry.arrive, [this, dst, slot] { deliver(dst, slot); });
+  sim.at(entry.arrive, st.on_deliver, slot);
+}
+
+void Fabric::deliver_entry(void* shard_state, std::uint32_t slot) {
+  auto* st = static_cast<ShardState*>(shard_state);
+  st->fabric->deliver(st->shard, slot);
 }
 
 void Fabric::deliver(int shard, std::uint32_t slot) {
   ShardState& st = state_[shard];
   sim::Simulator& sim = *sims_[std::size_t(shard)];
-  Delivery& d = st.deliveries[slot];
+  Delivery& d = st.delivery(slot);
   sim.auditor().on_packet_delivered();
   st.ledger.on_release(sim.auditor(), slot);
-  // Recycle before receive(): anything the receiver sends can reuse the
-  // slot immediately, keeping the pool at its high-water mark. The packet
-  // moves from the slot straight into receive()'s parameter, which is
-  // built before the receiver runs, so neither a reused slot nor a pool
-  // reallocation can touch the packet being handled.
+  Switch* sw = d.sw;
+  if (sw == nullptr) {
+    // Recycle before receive(): anything the receiver sends can reuse the
+    // slot immediately. The packet moves from the slot straight into
+    // receive()'s parameter, which is built before the receiver runs, so
+    // neither a reused slot nor pool growth can touch the packet handled.
+    st.free_deliveries.push_back(slot);
+    d.dst->receive(std::move(d.pkt), d.from);
+    return;
+  }
+  // A switch routes the packet where it lies. Its stages may send (and
+  // grow the pool) meanwhile; chunks never move, so `d` stays valid.
+  const NodeId self = sw->id();
+  const NodeId next = sw->route(d.pkt, d.from);
+  if (next != kInvalidNode && shard_of(next) == shard &&
+      link_is_up(self, next)) {
+    assert(valid_link(self, next));
+    park(shard, slot, self, next);
+    return;
+  }
+  // Consumed, or bound for another shard or a down link: send() hands the
+  // packet on (or drops it) exactly as it does for any sender.
+  if (next != kInvalidNode) send(self, next, std::move(d.pkt));
   st.free_deliveries.push_back(slot);
-  d.dst->receive(std::move(d.pkt), d.from);
 }
 
 void Fabric::set_link_state(NodeId a, NodeId b, bool up) {
@@ -422,7 +442,7 @@ std::size_t Fabric::deliveries_in_flight() const {
   std::size_t total = 0;
   for (int s = 0; s < shard_count(); ++s) {
     const ShardState& st = state_[s];
-    total += st.deliveries.size() - st.free_deliveries.size();
+    total += st.slots - st.free_deliveries.size();
     total += st.cross_pending.load(std::memory_order_relaxed);
   }
   return total;
@@ -474,16 +494,6 @@ void Fabric::audit_finalize(bool expect_drained) {
                std::to_string(merged.packets_delivered) + " with " +
                std::to_string(deliveries_in_flight()) + " in flight";
       });
-}
-
-std::uint64_t Fabric::flow_hash(const Packet& pkt) {
-  // splitmix-style mix over the 5-tuple surrogate.
-  std::uint64_t x = (static_cast<std::uint64_t>(pkt.src) << 32) ^ pkt.dst;
-  x ^= (static_cast<std::uint64_t>(pkt.src_port) << 16) ^ pkt.dst_port;
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
 }
 
 }  // namespace netrs::net

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -41,6 +42,8 @@ class MetricsRegistry;
 }  // namespace netrs::obs
 
 namespace netrs::net {
+
+class Switch;
 
 /// Link-latency parameters (defaults follow the paper, see file comment).
 struct NETRS_SHARED_IMMUTABLE FabricConfig {
@@ -84,9 +87,11 @@ class NETRS_COORD_GLOBAL Fabric {
   /// builds only; release builds skip the check entirely).
   ///
   /// Allocation-free in steady state: the packet is moved once, into a
-  /// free-list delivery pool slot, and the scheduled event captures only
-  /// {fabric, slot}; delivery moves it from the slot straight into
-  /// Node::receive.
+  /// free-list delivery pool slot, and the delivery is a typed queue entry
+  /// carrying the slot. A host or auxiliary device gets the packet moved
+  /// from the slot into Node::receive; a Switch routes it where it lies,
+  /// and a next hop on the same shard over an up link re-parks it in the
+  /// same slot (DESIGN.md §4 item 7).
   /// In sharded mode a cross-shard send instead pushes onto the
   /// destination shard's lock-free lane (nodes pooled per lane).
   void send(NodeId from, NodeId to, Packet&& pkt);
@@ -150,7 +155,22 @@ class NETRS_COORD_GLOBAL Fabric {
   [[nodiscard]] std::uint64_t link_drops() const;
 
   /// Stable per-flow hash used for ECMP decisions.
-  static std::uint64_t flow_hash(const Packet& pkt);
+  static std::uint64_t flow_hash(const Packet& pkt) {
+    // splitmix-style mix over the 5-tuple surrogate.
+    std::uint64_t x = (static_cast<std::uint64_t>(pkt.src) << 32) ^ pkt.dst;
+    x ^= (static_cast<std::uint64_t>(pkt.src_port) << 16) ^ pkt.dst_port;
+    x += 0x9E3779B97F4A7C15ULL;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+    return x ^ (x >> 31);
+  }
+
+  /// Delivery slots per pool chunk (log2). The pool grows a chunk at a
+  /// time and never moves a slot: a switch's stages send (and so may grow
+  /// the pool) while the packet they handle still sits in its slot.
+  static constexpr std::uint32_t kChunkBits = 8;
+  /// Delivery slots per pool chunk.
+  static constexpr std::uint32_t kChunkSlots = 1u << kChunkBits;
 
   /// Packets on the wire: parked delivery slots plus cross-shard packets
   /// still in lanes or pending heaps (diagnostic; call between windows).
@@ -179,10 +199,12 @@ class NETRS_COORD_GLOBAL Fabric {
   /// One in-flight link crossing. Pooled: slots are recycled through
   /// the per-shard free list, so steady-state traffic allocates nothing.
   struct Delivery {
-    Packet pkt;
     Node* dst = nullptr;
+    Switch* sw = nullptr;  // `dst` when it is a Switch (routed in place)
     NodeId from = kInvalidNode;
+    Packet pkt;  // after the fields a hop reads first, in the same line
   };
+
 
   /// A cross-shard packet after lane drain, ordered in the destination
   /// shard's pending min-heap by (arrive, src_shard, seq).
@@ -227,8 +249,12 @@ class NETRS_COORD_GLOBAL Fabric {
   /// thread (or the coordinator at a barrier) touches the non-atomic
   /// fields.
   struct alignas(64) ShardState {
-    std::vector<Delivery> deliveries;            // packet pool
-    std::vector<std::uint32_t> free_deliveries;  // free slot indices
+    Fabric* fabric = nullptr;  // the typed delivery entry's context
+    int shard = 0;
+    sim::HandlerId on_deliver;  // bound on this shard's simulator
+    std::vector<std::unique_ptr<Delivery[]>> chunks;  // packet pool
+    std::uint32_t slots = 0;                          // slots in the chunks
+    std::vector<std::uint32_t> free_deliveries;       // free slot indices
     std::uint64_t packets_sent = 0;
     std::uint64_t bytes_sent = 0;
     std::uint64_t cross_sends = 0;  // sends leaving this shard's partition
@@ -238,28 +264,55 @@ class NETRS_COORD_GLOBAL Fabric {
     /// Cross-shard packets bound here that are not yet parked in the
     /// delivery pool (in a lane or in `pending`).
     std::atomic<std::uint64_t> cross_pending{0};
+
+    [[nodiscard]] Delivery& delivery(std::uint32_t slot) {
+      return chunks[slot >> kChunkBits][slot & (kChunkSlots - 1)];
+    }
   };
 
   void init_serial(sim::Simulator& simulator);
   void init_sharded(sim::ShardGroup& group);
+  /// Sets up shard `s`'s state and binds its delivery handler.
+  void init_shard(int s);
   /// Audit-build half of simulator_for (see its doc comment): records the
   /// foreign-handle violation with owner/actor provenance. Out of line so
   /// the hot inline path stays a single vector index in plain builds.
   void audit_simulator_for(NodeId id);
-  [[nodiscard]] sim::Duration link_latency(NodeId a, NodeId b) const;
-  [[nodiscard]] Node* node(NodeId id) const;
+  [[nodiscard]] sim::Duration link_latency(NodeId a, NodeId b) const {
+    const bool a_aux = a >= topo_.node_count();
+    const bool b_aux = b >= topo_.node_count();
+    if (a_aux || b_aux) return cfg_.accelerator_link_latency;
+    if (topo_.is_host(a) || topo_.is_host(b)) return cfg_.host_link_latency;
+    return cfg_.switch_link_latency;
+  }
+  [[nodiscard]] Node* node(NodeId id) const {
+    if (id < nodes_.size()) return nodes_[id];
+    const std::size_t aux = id - nodes_.size();
+    assert(aux < aux_nodes_.size());
+    return aux_nodes_[aux];
+  }
+  /// The Switch attached at `id`, or nullptr (hosts, auxiliary devices,
+  /// and any other Node).
+  [[nodiscard]] Switch* switch_at(NodeId id) const {
+    return id < switches_.size() ? switches_[id] : nullptr;
+  }
   /// Cabling check behind assert(): tree adjacency or an auxiliary link in
   /// either direction. Single map lookup per direction.
   [[nodiscard]] bool valid_link(NodeId from, NodeId to) const;
   /// The serial fast path: park in `shard`'s pool and schedule delivery on
   /// its own simulator. Bit-for-bit the pre-shard send.
   void send_local(int shard, NodeId from, NodeId to, Packet&& pkt);
+  /// Sends the packet already in `slot` of `shard`'s pool over link
+  /// (from, to), which stays on `shard`: counts it and schedules its
+  /// delivery.
+  void park(int shard, std::uint32_t slot, NodeId from, NodeId to);
   /// Drains every lane bound for `dst` and parks all arrivals strictly
   /// below `safe` in (arrive, src_shard, seq) order; the rest wait in the
   /// pending heap. Runs on `dst`'s worker at each window start.
   void drain_shard(int dst, sim::Time safe);
   void park_cross(int dst, CrossEntry&& entry);
   void deliver(int shard, std::uint32_t slot);
+  static void deliver_entry(void* shard_state, std::uint32_t slot);
   [[nodiscard]] std::uint32_t acquire_slot(ShardState& st);
   [[nodiscard]] Lane& lane(int dst, int src) {
     return lanes_[std::size_t(dst) * sims_.size() + std::size_t(src)];
@@ -275,6 +328,7 @@ class NETRS_COORD_GLOBAL Fabric {
   std::unique_ptr<ShardState[]> state_;  // by shard
   std::unique_ptr<Lane[]> lanes_;        // [dst * shards + src], sharded only
   std::vector<Node*> nodes_;             // topology nodes by NodeId
+  std::vector<Switch*> switches_;        // nodes_ entries that are Switches
   std::vector<Node*> aux_nodes_;         // auxiliary devices
   std::unordered_map<NodeId, NodeId> aux_link_;  // aux id -> switch id
   // Cold path of send(): accounts a packet rejected at a down link.

@@ -23,18 +23,12 @@ void Switch::add_egress_stage(EgressStage* stage) {
 }
 
 void Switch::receive(Packet pkt, NodeId from) {
+  const NodeId next = route(pkt, from);
+  if (next != kInvalidNode) fabric_.send(self_, next, std::move(pkt));
+}
+
+NodeId Switch::route(Packet& pkt, NodeId from) {
   shard_affinity().check("receive");
-  run_pipeline(std::move(pkt), from);
-}
-
-void Switch::inject(Packet&& pkt, NodeId from) {
-  // Injection (accelerator re-emitting a steered packet) must come from the
-  // same shard context as a wire delivery would.
-  shard_affinity().check("inject");
-  run_pipeline(std::move(pkt), from);
-}
-
-void Switch::run_pipeline(Packet&& pkt, NodeId from) {
   for (IngressStage* stage : ingress_) {
     Disposition d = stage->on_ingress(pkt, from, *this);
     if (std::holds_alternative<Consumed>(d)) {
@@ -42,59 +36,47 @@ void Switch::run_pipeline(Packet&& pkt, NodeId from) {
         o->instant("sw.consume", "sw", static_cast<std::int32_t>(self_),
                    sim_.now(), pkt.meta.request_id);
       }
-      return;
+      return kInvalidNode;
     }
     if (auto* steer = std::get_if<Steer>(&d)) {
+      const NodeId target = steer->target_switch;
       if (obs::Observer* o = sim_.observer()) {
         o->instant("sw.steer", "sw", static_cast<std::int32_t>(self_),
                    sim_.now(), pkt.meta.request_id, "target",
-                   static_cast<std::uint64_t>(steer->target_switch));
+                   static_cast<std::uint64_t>(target));
       }
-      forward_toward_switch(std::move(pkt), steer->target_switch);
-      return;
-    }
-  }
-  forward_toward_host(std::move(pkt));
-}
-
-void Switch::forward_toward_host(Packet&& pkt) {
-  if constexpr (sim::kAuditEnabled) {
-    sim_.auditor().check(
-        pkt.dst != kInvalidHost, "invalid-forward", [&] {
-          return "switch " + std::to_string(self_) +
-                 " forwarding packet src=" + std::to_string(pkt.src) +
-                 " with no destination host";
-        });
-  } else {
-    assert(pkt.dst != kInvalidHost);
-  }
-  const NodeId next = fabric_.topology().next_hop_toward_host(
-      self_, pkt.dst, Fabric::flow_hash(pkt));
-  emit(std::move(pkt), next);
-}
-
-void Switch::forward_toward_switch(Packet&& pkt, NodeId target) {
-  if constexpr (sim::kAuditEnabled) {
-    sim_.auditor().check(
-        target != self_, "invalid-forward", [&] {
+      if constexpr (sim::kAuditEnabled) {
+        sim_.auditor().check(target != self_, "invalid-forward", [&] {
           return "switch " + std::to_string(self_) +
                  " steered packet src=" + std::to_string(pkt.src) +
                  " dst=" + std::to_string(pkt.dst) +
                  " to itself (pipeline bug)";
         });
-  } else {
-    assert(target != self_ && "steering to self is a pipeline bug");
+      } else {
+        assert(target != self_ && "steering to self is a pipeline bug");
+      }
+      return hop(pkt, fabric_.topology().next_hop_toward_switch(
+                          self_, target, Fabric::flow_hash(pkt)));
+    }
   }
-  const NodeId next = fabric_.topology().next_hop_toward_switch(
-      self_, target, Fabric::flow_hash(pkt));
-  emit(std::move(pkt), next);
+  if constexpr (sim::kAuditEnabled) {
+    sim_.auditor().check(pkt.dst != kInvalidHost, "invalid-forward", [&] {
+      return "switch " + std::to_string(self_) +
+             " forwarding packet src=" + std::to_string(pkt.src) +
+             " with no destination host";
+    });
+  } else {
+    assert(pkt.dst != kInvalidHost);
+  }
+  return hop(pkt, fabric_.topology().next_hop_toward_host(
+                      self_, pkt.dst, Fabric::flow_hash(pkt)));
 }
 
-void Switch::emit(Packet&& pkt, NodeId next) {
+NodeId Switch::hop(Packet& pkt, NodeId next) {
   for (EgressStage* stage : egress_) stage->on_egress(pkt, next, *this);
   ++forwards_;
   ++pkt.meta.forwards;
-  fabric_.send(self_, next, std::move(pkt));
+  return next;
 }
 
 }  // namespace netrs::net

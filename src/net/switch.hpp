@@ -60,20 +60,16 @@ class NETRS_SHARD_LOCAL Switch : public Node {
   /// Installs an egress observation stage (same ownership rules).
   void add_egress_stage(EgressStage* stage);
 
-  /// Runs the ingress pipeline on a delivered packet.
+  /// The switch pipeline: runs the ingress stages on `pkt` (which arrived
+  /// from `from`), picks the next hop — toward a steering target or the
+  /// destination host — runs the egress stages on it and counts the
+  /// forward. Returns that hop, or kInvalidNode when a stage consumed the
+  /// packet. The caller sends `pkt` there; the Fabric does so in place,
+  /// from the packet's delivery slot.
+  [[nodiscard]] NodeId route(Packet& pkt, NodeId from);
+
+  /// route() plus Fabric::send to the hop it picks.
   void receive(Packet pkt, NodeId from) override;
-
-  /// Injects a packet as if it arrived fresh (used by the accelerator to
-  /// hand a rebuilt request back to the switch); runs the full pipeline.
-  void inject(Packet&& pkt, NodeId from);
-
-  /// Sends `pkt` one hop toward its destination host (or delivers it if
-  /// this is the destination ToR), running egress stages. Public so stages
-  /// can resume default forwarding after a rewrite.
-  void forward_toward_host(Packet&& pkt);
-
-  /// Sends `pkt` one hop toward switch `target`, running egress stages.
-  void forward_toward_switch(Packet&& pkt, NodeId target);
 
   /// This switch's NodeId.
   [[nodiscard]] NodeId id() const { return self_; }
@@ -88,10 +84,9 @@ class NETRS_SHARD_LOCAL Switch : public Node {
   [[nodiscard]] std::uint64_t forwards() const { return forwards_; }
 
  private:
-  // The packet path below receive() passes the packet by rvalue reference:
-  // it is moved once more only when the fabric parks it in a delivery slot.
-  void run_pipeline(Packet&& pkt, NodeId from);
-  void emit(Packet&& pkt, NodeId next);
+  // The last step of route(): egress stages see (pkt, next), and the
+  // forward is counted. Returns `next`.
+  NodeId hop(Packet& pkt, NodeId next);
 
   Fabric& fabric_;
   NodeId self_;

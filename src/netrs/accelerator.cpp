@@ -157,8 +157,7 @@ void Accelerator::finish_service(std::size_t slot) {
     }
   }
   if (!queue_.empty()) {
-    Job next = std::move(queue_.front());
-    queue_.pop_front();
+    Job next = queue_.take_front();
     station_ledger_.on_dequeue(sim_.auditor(), queue_.size());
     start_service(std::move(next));
   }

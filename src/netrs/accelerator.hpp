@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <unordered_map>
@@ -26,6 +25,7 @@
 #include "net/fabric.hpp"
 #include "net/node.hpp"
 #include "sim/affinity.hpp"
+#include "sim/ring_queue.hpp"
 
 namespace netrs::core {
 
@@ -123,7 +123,7 @@ class NETRS_SHARD_LOCAL Accelerator final : public net::Node {
   net::NodeId primary_node_ = net::kInvalidNode;
   std::unordered_map<net::NodeId, net::NodeId> by_switch_;  // switch -> aux
 
-  std::deque<Job> queue_;
+  sim::RingQueue<Job> queue_;
   // In-service jobs parked per core slot (valid iff slot_busy_), so the
   // completion event captures only {this, slot} and stays inline in the
   // scheduled Task — no per-service heap allocation.

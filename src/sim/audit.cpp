@@ -87,12 +87,7 @@ void SlotLedger::park(Auditor& a, std::uint32_t slot, std::string provenance) {
   ++parked_count_;
 }
 
-void SlotLedger::on_release(Auditor& a, std::uint32_t slot) {
-  if constexpr (!kAuditEnabled) {
-    (void)a;
-    (void)slot;
-    return;
-  }
+void SlotLedger::release(Auditor& a, std::uint32_t slot) {
   if (slot >= parked_.size() || parked_[slot] == 0) {
     a.record("double-delivery",
              name_ + " slot " + std::to_string(slot) +

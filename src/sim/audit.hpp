@@ -168,8 +168,15 @@ class SlotLedger {
   }
 
   /// Marks `slot` released; a release without a matching park is a
-  /// double-delivery violation.
-  void on_release(Auditor& a, std::uint32_t slot);
+  /// double-delivery violation. Inline no-op in plain builds.
+  void on_release(Auditor& a, std::uint32_t slot) {
+    if constexpr (kAuditEnabled) {
+      release(a, slot);
+    } else {
+      (void)a;
+      (void)slot;
+    }
+  }
 
   /// Checks that nothing is still parked. Call once the pool is expected to
   /// be drained; every parked slot is reported with its provenance.
@@ -180,6 +187,7 @@ class SlotLedger {
 
  private:
   void park(Auditor& a, std::uint32_t slot, std::string provenance);
+  void release(Auditor& a, std::uint32_t slot);
 
   std::string name_ = "slot-pool";
   std::vector<std::uint8_t> parked_;       // by slot index

@@ -39,7 +39,7 @@ void EventQueue::check_live_slot(const Entry& e, const Slot& s) {
       auditor_->check(s.state == SlotState::kLive, "event-slot-state", [&] {
         return "index entry (t=" + std::to_string(e.time) +
                " ns, seq=" + std::to_string(e.seq) + ") surfaced slot " +
-               std::to_string(e.slot) + " in state " +
+               std::to_string(e.arg) + " in state " +
                std::to_string(static_cast<int>(s.state)) +
                " (generation " + std::to_string(s.generation) + ")";
       });
@@ -53,25 +53,13 @@ void EventQueue::check_live_slot(const Entry& e, const Slot& s) {
   (void)s;
 }
 
-void EventQueue::Lane::push_back(const Entry& e) {
-  if (count == ring.size()) {
-    std::vector<Entry> bigger(ring.empty() ? 16 : 2 * ring.size());
-    for (std::size_t i = 0; i < count; ++i) {
-      bigger[i] = ring[(head + i) & (ring.size() - 1)];
-    }
-    ring = std::move(bigger);
-    head = 0;
-  }
-  ring[(head + count) & (ring.size() - 1)] = e;
-  ++count;
-}
-
 EventQueue::Lane* EventQueue::lane_for(Duration delay, Time t) {
   for (std::size_t i = 0; i < lanes_used_; ++i) {
     Lane& lane = lanes_[i];
     if (lane.delay == delay) {
       // The order guard: appending below the tail would unsort the lane.
-      return lane.count == 0 || lane.back().time <= t ? &lane : nullptr;
+      return lane.entries.empty() || lane.entries.back().time <= t ? &lane
+                                                                   : nullptr;
     }
   }
   // A delay without a lane earns one by missing twice in a short window;
@@ -86,21 +74,21 @@ EventQueue::Lane* EventQueue::lane_for(Duration delay, Time t) {
   if (lanes_used_ < kMaxLanes) {
     pick = &lanes_[lanes_used_++];
   } else {
-    const auto empty = std::find_if(lanes_.begin(), lanes_.end(),
-                                    [](const Lane& l) { return l.count == 0; });
+    const auto empty =
+        std::find_if(lanes_.begin(), lanes_.end(),
+                     [](const Lane& l) { return l.entries.empty(); });
     if (empty != lanes_.end()) pick = &*empty;
   }
   if (pick != nullptr) pick->delay = delay;
   return pick;
 }
 
-EventId EventQueue::enqueue(Time t, Duration delay, std::uint32_t index) {
-  Slot& s = slots_[index];
-  s.state = SlotState::kLive;
-  const Entry e{t, next_seq_++, index};
+void EventQueue::enqueue(Time t, Duration delay, std::uint32_t handler,
+                         std::uint32_t arg) {
+  const Entry e{t, next_seq_++, handler, arg};
   Lane* lane = lane_for(delay, t);
   if (lane != nullptr) {
-    lane->push_back(e);
+    lane->entries.push_back(e);
   } else {
     heap_.push_back(e);
     std::push_heap(heap_.begin(), heap_.end(), Later{});
@@ -114,7 +102,6 @@ EventId EventQueue::enqueue(Time t, Duration delay, std::uint32_t index) {
     min_src_ = lane != nullptr ? static_cast<int>(lane - lanes_.data())
                                : kFromHeap;
   }
-  return (static_cast<EventId>(s.generation) << 32) | index;
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -131,7 +118,10 @@ bool EventQueue::cancel(EventId id) {
   s.state = SlotState::kCancelled;
   assert(live_ > 0);
   --live_;
-  if (min_src_ != kUnknown && min_.slot == index) min_src_ = kUnknown;
+  if (min_src_ != kUnknown && min_.handler == kTaskHandler &&
+      min_.arg == index) {
+    min_src_ = kUnknown;
+  }
   return true;
 }
 
@@ -145,9 +135,9 @@ void EventQueue::find_min() {
     }
     for (std::size_t i = 0; i < lanes_used_; ++i) {
       const Lane& lane = lanes_[i];
-      if (lane.count > 0 &&
-          (min_src_ == kUnknown || entry_less(lane.front(), min_))) {
-        min_ = lane.front();
+      if (!lane.entries.empty() &&
+          (min_src_ == kUnknown || entry_less(lane.entries.front(), min_))) {
+        min_ = lane.entries.front();
         min_src_ = static_cast<int>(i);
       }
     }
@@ -156,7 +146,7 @@ void EventQueue::find_min() {
     // would surface, and the search runs again.
     if (!cancelled(min_)) return;
     remove_min();
-    release_slot(min_.slot);
+    release_slot(min_.arg);
   }
 }
 
@@ -165,21 +155,30 @@ void EventQueue::remove_min() {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
   } else {
-    lanes_[static_cast<std::size_t>(min_src_)].pop_front();
+    lanes_[static_cast<std::size_t>(min_src_)].entries.pop_front();
   }
   min_src_ = kUnknown;
 }
 
-std::pair<Time, EventQueue::Callback> EventQueue::pop() {
+std::pair<Time, Event> EventQueue::pop() {
   assert(live_ > 0);
   if (min_src_ == kUnknown) find_min();
   const Entry e = min_;
   remove_min();
-  Slot& s = slots_[e.slot];
-  check_live_slot(e, s);
-  std::pair<Time, Callback> fired{e.time, std::move(s.task)};
-  release_slot(e.slot);
   --live_;
+  std::pair<Time, Event> fired;
+  fired.first = e.time;
+  if (e.handler != kTaskHandler) {
+    const Binding& b = handlers_[e.handler];
+    fired.second.fn_ = b.fn;
+    fired.second.ctx_ = b.ctx;
+    fired.second.arg_ = e.arg;
+    return fired;
+  }
+  Slot& s = slots_[e.arg];
+  check_live_slot(e, s);
+  fired.second.task_ = std::move(s.task);
+  release_slot(e.arg);
   return fired;
 }
 

@@ -7,39 +7,6 @@
 
 namespace netrs::sim {
 
-Time Simulator::checked_time(Time t) {
-  // Shard affinity: only the owning worker (or the coordinator between
-  // windows) may push events onto a sharded simulator's queue.
-  affinity_.check("schedule");
-  // Causality: scheduling into the past would fire the callback at now()
-  // anyway (the clamp below), silently reordering it after events it should
-  // have preceded. Checked builds record the violation with provenance;
-  // plain builds keep the original assert.
-  if constexpr (kAuditEnabled) {
-    auditor_.check(t >= now_, "schedule-into-past", [&] {
-      return "event scheduled at t=" + std::to_string(t) +
-             " ns while now=" + std::to_string(now_) + " ns (" +
-             std::to_string(fired_) + " events fired, " +
-             std::to_string(queue_.size()) + " pending); clamped to now";
-    });
-  } else {
-    assert(t >= now_ && "cannot schedule into the past");
-  }
-  return t < now_ ? now_ : t;
-}
-
-Duration Simulator::checked_delay(Duration d) {
-  if constexpr (kAuditEnabled) {
-    auditor_.check(d >= 0, "schedule-into-past", [&] {
-      return "negative delay " + std::to_string(d) + " ns at now=" +
-             std::to_string(now_) + " ns; clamped to zero";
-    });
-  } else {
-    assert(d >= 0 && "negative delay");
-  }
-  return d < 0 ? 0 : d;
-}
-
 void Simulator::every(Duration period, std::function<bool()> cb) {
   assert(period > 0);
   // The periodic body is heap-allocated once; each tick's event captures

@@ -5,9 +5,11 @@
 // (time, scheduling-order) order. There is no wall-clock coupling.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "sim/affinity.hpp"
@@ -53,11 +55,28 @@ class Simulator {
     return at(now_ + checked_delay(d), std::forward<F>(cb));
   }
 
+  /// Binds `fn(ctx, arg)` as a typed-entry handler on this simulator's
+  /// queue. Bind once (per component and simulator), then schedule with
+  /// the at()/after() overloads below; `ctx` must outlive the entries.
+  HandlerId bind(HandlerFn fn, void* ctx) { return queue_.bind(fn, ctx); }
+
+  /// Schedules handler `h` (bound on this simulator) to run with `arg` at
+  /// absolute time `t`. It orders exactly as a Task pushed here would, but
+  /// builds no callback object and cannot be cancelled.
+  void at(Time t, HandlerId h, std::uint32_t arg) {
+    queue_.push(checked_time(t), h, arg, now_);
+  }
+
+  /// Schedules handler `h` with `arg` after a non-negative delay.
+  void after(Duration d, HandlerId h, std::uint32_t arg) {
+    at(now_ + checked_delay(d), h, arg);
+  }
+
   /// Schedules `cb` every `period` (> 0), first firing at now() + period.
   /// The periodic task stops when `cb` returns false or the simulation ends.
   void every(Duration period, std::function<bool()> cb);
 
-  /// Cancels a pending event; see EventQueue::cancel.
+  /// Cancels a pending Task; see EventQueue::cancel.
   bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Runs until the queue drains or `stop()` is called. Returns the number
@@ -114,9 +133,40 @@ class Simulator {
 
  private:
   // Scheduling checks (shard affinity, causality); each returns its
-  // argument clamped so that nothing is scheduled into the past.
-  Time checked_time(Time t);
-  Duration checked_delay(Duration d);
+  // argument clamped so that nothing is scheduled into the past. Inline:
+  // every push runs them, and plain builds reduce them to the clamp.
+  Time checked_time(Time t) {
+    // Shard affinity: only the owning worker (or the coordinator between
+    // windows) may push events onto a sharded simulator's queue.
+    affinity_.check("schedule");
+    // Causality: scheduling into the past would fire the callback at now()
+    // anyway (the clamp below), silently reordering it after events it should
+    // have preceded. Checked builds record the violation with provenance;
+    // plain builds keep the original assert.
+    if constexpr (kAuditEnabled) {
+      auditor_.check(t >= now_, "schedule-into-past", [&] {
+        return "event scheduled at t=" + std::to_string(t) +
+               " ns while now=" + std::to_string(now_) + " ns (" +
+               std::to_string(fired_) + " events fired, " +
+               std::to_string(queue_.size()) + " pending); clamped to now";
+      });
+    } else {
+      assert(t >= now_ && "cannot schedule into the past");
+    }
+    return t < now_ ? now_ : t;
+  }
+
+  Duration checked_delay(Duration d) {
+    if constexpr (kAuditEnabled) {
+      auditor_.check(d >= 0, "schedule-into-past", [&] {
+        return "negative delay " + std::to_string(d) + " ns at now=" +
+               std::to_string(now_) + " ns; clamped to zero";
+      });
+    } else {
+      assert(d >= 0 && "negative delay");
+    }
+    return d < 0 ? 0 : d;
+  }
 
   void schedule_tick(Duration period,
                      std::shared_ptr<std::function<bool()>> body);

@@ -4,10 +4,11 @@
 // Scheduling a callback with std::function heap-allocates whenever the
 // capture outgrows its tiny (two-pointer) inline buffer — which is nearly
 // every simulation event. Task inlines captures up to kInlineSize bytes
-// (sized so every hot-path capture in this codebase fits: delivery events
-// are {pointer, index}, service completions {pointer, slot, duration}) and
-// falls back to the heap only for oversized callables, so steady-state
-// event churn performs no allocations.
+// (sized so every hot-path capture in this codebase fits: service
+// completions are {pointer, slot, duration}) and falls back to the heap
+// only for oversized callables, so steady-state event churn performs no
+// allocations. The hottest events (packet deliveries) skip Task
+// altogether as typed queue entries (event_queue.hpp).
 //
 // Unlike std::function, Task is move-only: it can own move-only captures
 // (pooled packets, unique_ptrs) and never silently copies state.

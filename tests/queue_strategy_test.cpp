@@ -1,11 +1,12 @@
 // Pop-order oracle for the event queue (DESIGN.md §4.8): a seeded fuzz of
-// EventQueue against a brute-force (time, seq) reference, with pushes that
-// land in the fixed-delay lanes and in the heap, cancels anywhere in a
-// lane and in the heap, peeks that leave the cached minimum standing
-// across later pushes and cancels, and a scheduling clock that sometimes
-// runs backwards so the lanes' order guard is exercised. Also covers
-// cancel-heavy churn, the slot-generation wraparound boundary, and
-// full-system digests at --jobs 1 and 4.
+// EventQueue against a brute-force (time, seq) reference, with Tasks and
+// typed entries interleaved (each also pushed from inside the other's
+// firing), pushes that land in the fixed-delay lanes and in the heap,
+// cancels anywhere in a lane and in the heap, peeks that leave the cached
+// minimum standing across later pushes and cancels, and a scheduling clock
+// that sometimes runs backwards so the lanes' order guard is exercised.
+// Also covers cancel-heavy churn, the slot-generation wraparound boundary,
+// and full-system digests at --jobs 1 and 4.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,7 +37,9 @@ struct EventQueueTestPeer {
   /// Entries (tombstones included) held in the delay lanes.
   static std::size_t lane_entries(const EventQueue& q) {
     std::size_t n = 0;
-    for (std::size_t i = 0; i < q.lanes_used_; ++i) n += q.lanes_[i].count;
+    for (std::size_t i = 0; i < q.lanes_used_; ++i) {
+      n += q.lanes_[i].entries.size();
+    }
     return n;
   }
   /// True once every delay lane has been keyed (re-keying can start).
@@ -46,6 +49,24 @@ struct EventQueueTestPeer {
   /// Entries (tombstones included) held in the heap.
   static std::size_t heap_entries(const EventQueue& q) {
     return q.heap_.size();
+  }
+  /// Typed entries held in the delay lanes.
+  static std::size_t typed_lane_entries(const EventQueue& q) {
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < q.lanes_used_; ++i) {
+      const auto& entries = q.lanes_[i].entries;
+      for (std::size_t k = 0; k < entries.size(); ++k) {
+        n += entries[k].handler != EventQueue::kTaskHandler ? 1 : 0;
+      }
+    }
+    return n;
+  }
+  /// Typed entries held in the heap.
+  static std::size_t typed_heap_entries(const EventQueue& q) {
+    return static_cast<std::size_t>(
+        std::count_if(q.heap_.begin(), q.heap_.end(), [](const auto& e) {
+          return e.handler != EventQueue::kTaskHandler;
+        }));
   }
 };
 
@@ -57,7 +78,8 @@ namespace {
 struct RefEvent {
   Time time;
   Duration delay;  // the fixed delay it was pushed with, or -1
-  EventId id;
+  bool typed;      // a typed entry (not cancellable) rather than a Task
+  EventId id;      // Tasks only
 };
 
 struct Reference {
@@ -76,31 +98,78 @@ struct Reference {
   }
 };
 
-TEST(QueueStrategyTest, ChurnPopOrderMatchesBruteForceReference) {
-  constexpr Duration kFixed[] = {30'000, 1'250, 5'000, 1'000, 0};
+constexpr Duration kFixed[] = {30'000, 1'250, 5'000, 1'000, 0};
+
+// The queue under test, the reference, and the pushes the events make
+// from inside their own firing.
+struct ChurnFuzz {
   EventQueue q;
-  Rng rng(99);
+  Rng rng{99};
   Reference ref;
-  int fired = -1;  // set by callbacks
+  HandlerId typed_handler = q.bind(&ChurnFuzz::on_typed, this);
+  int fired = -1;  // set by every firing event
   Time now = 0;
+
+  void push(bool typed, Time t, Duration delay, Time clock) {
+    const auto k = static_cast<std::uint32_t>(ref.events.size());
+    EventId id = 0;
+    if (typed) {
+      q.push(t, typed_handler, k, clock);
+    } else {
+      id = q.push(t, [this, k] { on_fire(k); }, clock);
+    }
+    ref.events.push_back({t, delay, typed, id});
+    ref.live.push_back(k);
+  }
+
+  // Every third firing schedules a follow-up of the other kind, from
+  // inside the event, at a fixed or a random delay.
+  void on_fire(std::uint32_t k) {
+    fired = static_cast<int>(k);
+    if (rng.uniform(3) != 0) return;
+    const bool typed = !ref.events[k].typed;
+    if (rng.uniform(2) == 0) {
+      const Duration delay = kFixed[rng.uniform(std::size(kFixed))];
+      push(typed, now + delay, delay, now);
+    } else {
+      push(typed, now + static_cast<Time>(rng.uniform(2'000)), -1, now);
+    }
+  }
+
+  static void on_typed(void* self, std::uint32_t k) {
+    static_cast<ChurnFuzz*>(self)->on_fire(k);
+  }
+};
+
+TEST(QueueStrategyTest, ChurnPopOrderMatchesBruteForceReference) {
+  ChurnFuzz fz;
+  EventQueue& q = fz.q;
+  Rng& rng = fz.rng;
+  Reference& ref = fz.ref;
   bool saw_lanes = false;
   bool saw_heap = false;
+  bool saw_typed_lanes = false;
+  bool saw_typed_heap = false;
 
   auto pop_and_check = [&](int op) {
     const std::size_t want = ref.next();
     ASSERT_EQ(q.next_time(), ref.events[want].time) << "op " << op;
-    auto [t, cb] = q.pop();
-    cb();
+    auto [t, ev] = q.pop();
     ASSERT_EQ(t, ref.events[want].time) << "op " << op;
-    ASSERT_EQ(fired, static_cast<int>(want)) << "pop order at op " << op;
-    ASSERT_FALSE(q.cancel(ref.events[want].id)) << "fired id cancellable";
+    fz.now = t;
     ref.retire(want);
-    now = t;
+    ev();
+    ASSERT_EQ(fz.fired, static_cast<int>(want)) << "pop order at op " << op;
+    if (!ref.events[want].typed) {
+      ASSERT_FALSE(q.cancel(ref.events[want].id)) << "fired id cancellable";
+    }
   };
 
   for (int op = 0; op < 30000; ++op) {
+    const Time now = fz.now;
     const std::uint64_t dice = rng.uniform(20);
     if (dice < 10 || ref.live.empty()) {
+      const bool typed = rng.uniform(2) == 0;
       Time t = 0;
       Duration delay = -1;
       Time clock = now;
@@ -123,17 +192,16 @@ TEST(QueueStrategyTest, ChurnPopOrderMatchesBruteForceReference) {
       } else {
         t = now + 1'000'000 + static_cast<Time>(rng.uniform(2'000'000));
       }
-      const int k = static_cast<int>(ref.events.size());
-      const EventId id = q.push(t, [&fired, k] { fired = k; }, clock);
-      ref.events.push_back({t, delay, id});
-      ref.live.push_back(static_cast<std::size_t>(k));
+      fz.push(typed, t, delay, clock);
     } else if (dice < 14) {
-      // Cancel at a lane's head, middle or tail (the live events pushed
-      // with one fixed delay, in push order), or a heap event.
+      // Cancel a Task at a lane's head, middle or tail (the live Tasks
+      // pushed with one fixed delay, in push order, with typed entries
+      // around them), or a Task in the heap.
       std::vector<std::size_t> lane;
       std::vector<std::size_t> heap;
       const Duration d = kFixed[rng.uniform(std::size(kFixed))];
       for (const std::size_t k : ref.live) {
+        if (ref.events[k].typed) continue;
         if (ref.events[k].delay == d) lane.push_back(k);
         if (ref.events[k].delay < 0) heap.push_back(k);
       }
@@ -165,6 +233,10 @@ TEST(QueueStrategyTest, ChurnPopOrderMatchesBruteForceReference) {
     }
     saw_lanes = saw_lanes || EventQueueTestPeer::lane_entries(q) > 0;
     saw_heap = saw_heap || EventQueueTestPeer::heap_entries(q) > 0;
+    saw_typed_lanes =
+        saw_typed_lanes || EventQueueTestPeer::typed_lane_entries(q) > 0;
+    saw_typed_heap =
+        saw_typed_heap || EventQueueTestPeer::typed_heap_entries(q) > 0;
   }
   // Drain; the tail must match too.
   while (!ref.live.empty()) {
@@ -175,6 +247,8 @@ TEST(QueueStrategyTest, ChurnPopOrderMatchesBruteForceReference) {
   EXPECT_EQ(q.next_time(), kNever);
   EXPECT_TRUE(saw_lanes) << "the fuzz never reached the delay lanes";
   EXPECT_TRUE(saw_heap) << "the fuzz never reached the heap";
+  EXPECT_TRUE(saw_typed_lanes) << "no typed entry reached the delay lanes";
+  EXPECT_TRUE(saw_typed_heap) << "no typed entry reached the heap";
   EXPECT_TRUE(EventQueueTestPeer::lanes_full(q))
       << "the fuzz never keyed every lane, so re-keying went untested";
 }

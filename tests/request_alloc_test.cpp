@@ -1,9 +1,10 @@
 // Request-path allocation guard: once a cell is warm, each extra simulated
 // request may cost about one heap allocation — kv::Client's pending-map
-// node. Packets, payloads, deliveries, events and a request's copies are
-// all pooled or inline. This binary links the counting allocator shim
-// (bench/alloc_shim.hpp), so it counts every allocation in the process;
-// running the same cell at N and 2N requests cancels the fixed setup cost.
+// node. Packets, payloads, deliveries, events, station queues and a
+// request's copies are all pooled or inline. This binary links the
+// counting allocator shim (bench/alloc_shim.hpp), so it counts every
+// allocation in the process; running the same cell at N and 2N requests
+// cancels the fixed setup cost.
 #include "alloc_shim.hpp"
 
 #include <gtest/gtest.h>
@@ -54,6 +55,11 @@ double extra_allocs_per_extra_request(Scheme scheme) {
 // The bound leaves 0.2 per request for amortized growth (latency samples,
 // the pending map's buckets) and for the periodic work a longer run adds.
 constexpr double kMaxAllocsPerRequest = 1.2;
+// CliRS has no periodic re-planning, and its station queues (KV server
+// FIFOs) are reusable rings, so nearly all of its per-request cost is the
+// pending-map node. A queue that allocates as it moves (std::deque's
+// three-packet chunks) reads about 1.06 here.
+constexpr double kMaxCliRSAllocsPerRequest = 1.03;
 
 TEST(RequestAllocTest, CliRSCostsAboutOneAllocationPerRequest) {
   if constexpr (sim::kAuditEnabled) {
@@ -62,6 +68,7 @@ TEST(RequestAllocTest, CliRSCostsAboutOneAllocationPerRequest) {
   const double per_request = extra_allocs_per_extra_request(Scheme::kCliRS);
   RecordProperty("allocs_per_request", std::to_string(per_request));
   EXPECT_LE(per_request, kMaxAllocsPerRequest);
+  EXPECT_LE(per_request, kMaxCliRSAllocsPerRequest);
 }
 
 TEST(RequestAllocTest, NetRSIlpCostsAboutOneAllocationPerRequest) {
