@@ -1,5 +1,6 @@
 #include "netrs/controller.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <unordered_map>
 #include <utility>
@@ -14,7 +15,8 @@ Controller::Controller(sim::Simulator& sim, const net::FatTree& topo,
       topo_(topo),
       groups_(groups),
       operators_(std::move(operators)),
-      cfg_(cfg) {
+      cfg_(cfg),
+      rates_(groups.group_count()) {
   for (NetRSOperator* op : operators_) {
     assert(op != nullptr);
     if (op->id() >= by_id_.size()) by_id_.resize(std::size_t{op->id()} + 1);
@@ -52,31 +54,38 @@ void Controller::collect_stats() {
   last_collect_ = now;
   if (window_s <= 0.0) return;
 
-  rates_.clear();
+  std::fill(rates_.begin(), rates_.end(), GroupRate{});
+  groups_counted_ = 0;
   for (NetRSOperator* op : operators_) {
     Monitor* mon = op->monitor();
     if (mon == nullptr) continue;
-    // netrs-lint: allow(unordered-iteration): order-independent accumulation
-    // (+= into an ordered map keyed by group; no decisions made here).
-    for (auto& [group, tiers] : mon->snapshot_and_reset()) {
-      GroupRate& r = rates_[group];
+    const Monitor::Counts& counts = mon->counts();
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      const auto& tiers = counts[i];
+      if (tiers[0] + tiers[1] + tiers[2] == 0) continue;
+      GroupRate& r = rates_[mon->first_group() + i];
+      if (!r.counted) ++groups_counted_;
+      r.counted = true;
       for (int t = 0; t < 3; ++t) {
         r.tier[t] += static_cast<double>(tiers[static_cast<std::size_t>(t)]) /
                      window_s;
       }
     }
+    mon->reset_counts();
     op->accelerator().reset_utilization(now);
   }
 }
 
 PlacementProblem Controller::build_problem() const {
   PlacementProblem problem;
-  problem.groups.reserve(rates_.size());
+  problem.groups.reserve(groups_counted_);
   double aggregate = 0.0;
-  // rates_ is ordered by GroupId, so the solver sees groups (and creates
+  // rates_ is indexed by GroupId, so the solver sees groups (and creates
   // its variables) in the same order every run regardless of the order
   // monitors reported them.
-  for (const auto& [group, r] : rates_) {
+  for (GroupId group = 0; group < rates_.size(); ++group) {
+    const GroupRate& r = rates_[group];
+    if (!r.counted) continue;
     GroupDemand g;
     g.id = group;
     g.pod = groups_.pod_of_group(group);
@@ -125,7 +134,7 @@ void Controller::replan() {
     install(full_tor_plan());
     return;
   }
-  if (rates_.empty()) return;  // no traffic observed yet: keep current plan
+  if (groups_counted_ == 0) return;  // no traffic yet: keep current plan
   const bool have_ilp_plan = plan_.method != "tor";
   if (have_ilp_plan && sim_.now() - last_solve_ < cfg_.rsp_update_interval) {
     return;  // keep the current RSP (stable workloads, §II)

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -104,13 +103,16 @@ class NETRS_COORD_GLOBAL Controller {
   std::set<RsNodeId> failed_;
   std::set<RsNodeId> active_;  // RSNodes used by the current plan
 
-  // Latest stats window: per group, requests/s by tier. Ordered map: the
-  // placement problem is built by iterating this, and the solver's variable
-  // order (hence tie-breaking) must not depend on hash-table layout.
+  // Latest stats window: requests/s by tier, indexed by GroupId. Only the
+  // groups that counted a response in the window enter the placement
+  // problem, in ascending GroupId order, so the solver's variable order
+  // (hence tie-breaking) is the same every run.
   struct GroupRate {
     double tier[3] = {0, 0, 0};
+    bool counted = false;
   };
-  std::map<GroupId, GroupRate> rates_;
+  std::vector<GroupRate> rates_;
+  std::size_t groups_counted_ = 0;
   sim::Time last_collect_ = 0;
 
   PlacementResult plan_;

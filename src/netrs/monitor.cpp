@@ -1,5 +1,6 @@
 #include "netrs/monitor.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace netrs::core {
@@ -10,6 +11,10 @@ Monitor::Monitor(const net::FatTree& topo, const TrafficGroups& groups,
   const net::SwitchCoord c = topo.coord(tor);
   assert(c.tier == net::Tier::kTor && "monitors live on ToR switches only");
   local_ = net::SourceMarker{c.pod, c.idx};
+  first_group_ = groups.group_of_host(topo.host_id(c.pod, c.idx, 0));
+  const GroupId last_group = groups.group_of_host(
+      topo.host_id(c.pod, c.idx, topo.hosts_per_rack() - 1));
+  counts_.resize(last_group - first_group_ + 1);
 }
 
 void Monitor::on_egress(const net::Packet& pkt, net::NodeId next_hop,
@@ -26,14 +31,13 @@ void Monitor::on_egress(const net::Packet& pkt, net::NodeId next_hop,
     tier = sm->rack == local_.rack ? 2 : 1;
   }
   const GroupId g = groups_.group_of_host(pkt.dst);
-  counts_[g][static_cast<std::size_t>(tier)] += 1;
+  assert(g >= first_group_ && g - first_group_ < counts_.size());
+  counts_[g - first_group_][static_cast<std::size_t>(tier)] += 1;
   ++total_;
 }
 
-Monitor::Counts Monitor::snapshot_and_reset() {
-  Counts out;
-  out.swap(counts_);
-  return out;
+void Monitor::reset_counts() {
+  std::fill(counts_.begin(), counts_.end(), std::array<std::uint64_t, 3>{});
 }
 
 }  // namespace netrs::core

@@ -12,7 +12,7 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "net/switch.hpp"
 #include "netrs/packet_format.hpp"
@@ -32,13 +32,18 @@ class NETRS_SHARD_LOCAL Monitor final : public net::Switch::EgressStage {
   void on_egress(const net::Packet& pkt, net::NodeId next_hop,
                  net::Switch& sw) override;
 
-  /// Per-group response counts since the last snapshot, indexed by tier
-  /// (index 0 = tier-0/inter-pod ... index 2 = tier-2/intra-rack).
-  using Counts = std::unordered_map<GroupId, std::array<std::uint64_t, 3>>;
+  /// Per-group response counts since the last reset: one entry per traffic
+  /// group of this rack in ascending GroupId order (entry i is group
+  /// first_group() + i), each indexed by tier (index 0 = tier-0/inter-pod
+  /// ... index 2 = tier-2/intra-rack).
+  using Counts = std::vector<std::array<std::uint64_t, 3>>;
 
-  /// Returns accumulated counts and clears them (the periodic report to the
-  /// NetRS controller).
-  [[nodiscard]] Counts snapshot_and_reset();
+  /// The lowest GroupId of this rack (a rack's groups are contiguous).
+  [[nodiscard]] GroupId first_group() const { return first_group_; }
+  /// Counts accumulated since the last reset_counts().
+  [[nodiscard]] const Counts& counts() const { return counts_; }
+  /// Zeroes the counts (after each periodic report to the NetRS controller).
+  void reset_counts();
 
   /// Responses counted over the monitor's lifetime (diagnostic).
   [[nodiscard]] std::uint64_t total_counted() const { return total_; }
@@ -47,6 +52,7 @@ class NETRS_SHARD_LOCAL Monitor final : public net::Switch::EgressStage {
   const net::FatTree& topo_;
   const TrafficGroups& groups_;
   net::SourceMarker local_;
+  GroupId first_group_ = 0;
   Counts counts_;
   std::uint64_t total_ = 0;
 };

@@ -9,6 +9,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "harness/deployment.hpp"
+
 namespace netrs::harness {
 namespace {
 
@@ -162,6 +164,12 @@ TEST(ExperimentTest, MalformedConfigThrowsNamingTheField) {
        }},
       {"server_parallelism",
        [](ExperimentConfig& c) { c.server_parallelism = 0; }},
+      // No servers: an infinite run length; negative: a bad host slice.
+      {"num_servers", [](ExperimentConfig& c) { c.num_servers = 0; }},
+      {"num_servers", [](ExperimentConfig& c) { c.num_servers = -5; }},
+      // No clients: an empty run that reports all zeros.
+      {"num_clients", [](ExperimentConfig& c) { c.num_clients = 0; }},
+      {"num_clients", [](ExperimentConfig& c) { c.num_clients = -1; }},
       // k=4 has 16 hosts; 5 servers + 12 clients do not fit.
       {"num_servers + num_clients",
        [](ExperimentConfig& c) { c.num_clients = 12; }},
@@ -190,6 +198,27 @@ TEST(ExperimentTest, AlternativeSelectorAlgorithmsRun) {
     const ExperimentResult res = run_experiment(Scheme::kNetRSIlp, cfg);
     EXPECT_EQ(res.issued, res.completed) << algo;
   }
+}
+
+TEST(ExperimentTest, MidRunSelectorResetInAWholeDeployment) {
+  // A7's event in a whole deployment: at mid-run every RSNode of the
+  // active ILP plan drops its selector state, as a freshly deployed RSP
+  // leaves it, and the run carries on through the reset.
+  const ExperimentConfig cfg = small_config();
+  Deployment deployment(Scheme::kNetRSIlp, cfg, cfg.seed);
+  int active = -1;
+  int reset = -1;
+  deployment.simulator().at(deployment.t_end() / 2, [&deployment, &active,
+                                                     &reset] {
+    active = deployment.controller()->active_rsnodes();
+    reset = deployment.reset_active_selectors();
+  });
+  const RunOutput out = drive(deployment);
+  EXPECT_GT(reset, 0);
+  EXPECT_EQ(reset, active);
+  EXPECT_GT(out.deployment.issued, cfg.total_requests / 2);
+  EXPECT_EQ(out.deployment.issued, out.deployment.completed)
+      << "requests lost across the reset";
 }
 
 }  // namespace

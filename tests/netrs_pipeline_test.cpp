@@ -202,17 +202,20 @@ TEST_F(PipelineRig, MonitorClassifiesTiersBySourceMarker) {
   Monitor* mon = op_at(tor).monitor();
   ASSERT_NE(mon, nullptr);
   EXPECT_EQ(mon->total_counted(), 3u);
-  const auto counts = mon->snapshot_and_reset();
   const GroupId g = groups.group_of_host(client_host);
-  ASSERT_TRUE(counts.contains(g));
-  const auto& tiers = counts.at(g);
+  ASSERT_GE(g, mon->first_group());
+  ASSERT_LT(g - mon->first_group(), mon->counts().size());
+  const auto& tiers = mon->counts()[g - mon->first_group()];
   // The replica set of `key` spans all three server hosts (RF = 3 of 3),
   // and round-robin visited each once.
   EXPECT_EQ(tiers[0], 1u);
   EXPECT_EQ(tiers[1], 1u);
   EXPECT_EQ(tiers[2], 1u);
-  // Snapshot resets.
-  EXPECT_TRUE(mon->snapshot_and_reset().empty());
+  // The reset zeroes every group's counts.
+  mon->reset_counts();
+  for (const auto& group_tiers : mon->counts()) {
+    EXPECT_EQ(group_tiers[0] + group_tiers[1] + group_tiers[2], 0u);
+  }
 }
 
 TEST_F(PipelineRig, DrsRoutesToBackupWithoutSelector) {
